@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 
 import numpy as np
@@ -22,7 +21,8 @@ from .datasets import (SyntheticConfig, TabularDataset, feature_stats,
 from .errors import (DataError, MetricUndefinedError, ModelFormatError,
                      OptimizationError)
 from .experiments import (emit_report, run_boundary_experiment,
-                          run_perturbation_sweep, subsample_indices)
+                          run_perturbation_sweep, subsample_indices,
+                          write_json)
 from .metrics import (DEMOGRAPHIC_PARITY, EQUAL_OPPORTUNITY, EQUALIZED_ODDS,
                       PREDICTIVE_PARITY, counterfactual_check,
                       fairness_mismatch, sensitive_importance)
@@ -236,12 +236,6 @@ def _infer_format(path: str, explicit: str | None) -> str:
     )
 
 
-def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _dump_neighborhood(nb: Neighborhood, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -333,7 +327,7 @@ def cmd_explain(args) -> int:
     explanation = fair_explain_neighborhood(nb, cfg, fair)
     doc = explanation.as_dict()
     doc["row"] = args.row
-    _write_json(doc, args.out)
+    write_json(doc, args.out)
     print(f"wrote {args.out}: row {args.row}, "
           f"objective {explanation.objective!r}, "
           f"psi_hard {explanation.psi_hard!r}")
@@ -357,6 +351,9 @@ def cmd_audit(args) -> int:
     fair = _fair_config(args, args.lambda2)
     indices = subsample_indices(ds.n_rows, args.points)
     X = ds.features
+    # Labeled metrics compare against the black box's predictions on
+    # the whole dataset, which are the same for every audited row.
+    dataset_preds = None if kind == DEMOGRAPHIC_PARITY else model.predict(X)
     rows = []
     for pi, row in enumerate(indices):
         x = X[row]
@@ -373,7 +370,7 @@ def cmd_audit(args) -> int:
             # Labeled metrics need ground truth, which sampled
             # neighborhoods lack; audit globally over the dataset.
             report = fairness_mismatch(
-                kind, model.predict(X), explanation.predict(X),
+                kind, dataset_preds, explanation.predict(X),
                 ds.groups, ds.labels, epsilon=args.epsilon,
             )
         flip = counterfactual_check(model, explanation, x,
@@ -401,7 +398,7 @@ def cmd_audit(args) -> int:
             "preserved_fraction": float(np.mean(preserved)),
         },
     }
-    _write_json(out, args.out)
+    write_json(out, args.out)
     print(f"wrote {args.out}: {len(rows)} rows audited, "
           f"mean mismatch {out['aggregate']['mean_mismatch']!r}, "
           f"preserved fraction {out['aggregate']['preserved_fraction']!r}")

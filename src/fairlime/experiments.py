@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,6 +355,21 @@ def _sweep_svg(report: SweepReport) -> str:
 REPORT_FORMATS = ("json", "csv", "svg-lines")
 
 
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final newline.
+
+    JSON has no spelling for NaN or infinity, so a document holding one
+    raises DataError, and the partly written file is removed.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except ValueError as exc:
+        os.remove(path)
+        raise DataError(f"report holds a non-finite number: {exc}") from exc
+
+
 def emit_report(report, format: str, path) -> None:
     """Write a report deterministically in one of the supported formats.
 
@@ -362,9 +378,7 @@ def emit_report(report, format: str, path) -> None:
     perturbation count (sweep reports only).
     """
     if format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(report.as_dict(), path)
     elif format == "csv":
         rows = report.cells()
         with open(path, "w", encoding="utf-8", newline="") as fh:

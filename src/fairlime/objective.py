@@ -252,10 +252,12 @@ def _line_minimum(problem: _FairProblem, design: np.ndarray, beta: np.ndarray,
     polynomial in t while each sample's predicted label flips at most
     once, where its score crosses 0.5, so the hard parity gap is
     piecewise constant with breakpoints t = (0.5 - score) / slope.
-    Candidates are the breakpoints, their immediate floating-point
-    neighbours, the quadratic's vertex, and the current point; group
-    positive counts over all candidates come from two searchsorted
-    passes per group. Returns the best offset t, 0.0 for no move.
+    Candidates, in this order, are the current point, the breakpoints,
+    their upper and their lower floating-point neighbours, and the
+    quadratic's vertex; argmin breaks ties toward the earliest. The
+    parity at every candidate comes from one sort of the breakpoints
+    and cumulative per-group counts (_candidate_parity), so a line
+    costs O(n log n). Returns the best offset t, 0.0 for no move.
     """
     base = design @ beta
     slope = design @ direction
@@ -265,24 +267,82 @@ def _line_minimum(problem: _FairProblem, design: np.ndarray, beta: np.ndarray,
     q0 = float(np.sum(problem.wn * resid * resid))
     moving = slope != 0.0
     brk = (0.5 - base[moving]) / slope[moving]
-    pool = [np.zeros(1), brk, np.nextafter(brk, np.inf), np.nextafter(brk, -np.inf)]
-    if q2 > 0.0:
-        pool.append(np.array([-q1 / q2]))
-    ts = np.concatenate(pool)
-    ts = ts[np.isfinite(ts) & (np.abs(ts) <= POLISH_CANDIDATE_BOUND)]
+    vertex = [-q1 / q2] if q2 > 0.0 else []
+    ts = np.concatenate([[0.0], brk, np.nextafter(brk, np.inf),
+                         np.nextafter(brk, -np.inf), vertex])
+    dp = _candidate_parity(problem, base, slope, moving, ts)
+    keep = np.isfinite(ts) & (np.abs(ts) <= POLISH_CANDIDATE_BOUND)
+    ts = ts[keep]
     fidelity = q2 * ts * ts + 2.0 * q1 * ts + q0
-    dp = np.zeros_like(ts)
-    for mask, scale in ((problem.mask1, 1.0 / problem.n1),
-                        (problem.mask0, -1.0 / problem.n0)):
-        sub = mask[moving]
-        fixed = np.count_nonzero(mask & ~moving & (base >= 0.5))
-        up = np.sort(brk[(slope[moving] > 0.0) & sub])
-        down = np.sort(brk[(slope[moving] < 0.0) & sub])
-        count = (fixed + np.searchsorted(up, ts, side="right")
-                 + down.size - np.searchsorted(down, ts, side="left"))
-        dp += scale * count
-    values = fidelity + problem.lambda2 * np.abs(problem.dp_blackbox - dp)
+    values = fidelity + problem.lambda2 * np.abs(problem.dp_blackbox - dp[keep])
     return float(ts[int(np.argmin(values))])
+
+
+def _candidate_parity(problem: _FairProblem, base: np.ndarray,
+                      slope: np.ndarray, moving: np.ndarray,
+                      ts: np.ndarray) -> np.ndarray:
+    """The surrogate's hard parity at each of _line_minimum's candidates.
+
+    One argsort of the breakpoints does the counting. A rising sample
+    is positive at t when its breakpoint is at most t, a falling one
+    when its breakpoint is at least t, so cumulative sums of the
+    per-group rising and falling indicators in sorted order give each
+    group's positive count inside every gap between consecutive
+    distinct breakpoints and at every breakpoint value. A neighbour
+    lies in the gap next to its breakpoint unless it is a breakpoint
+    itself; searchsorted places the current point and the vertex. The
+    parities are scattered back to candidate order, and each is summed
+    as group 1's term plus group 0's, in the same floating-point
+    operations as one group at a time.
+    """
+    m = np.count_nonzero(moving)
+    brk = ts[1:1 + m]
+    order = np.argsort(brk)
+    sorted_brk = brk[order]
+    # Sorted position i lies in the run [lo[i], hi[i]) of equal
+    # breakpoints; lo and hi continue with the ranks of the current
+    # point and the vertex.
+    new_run = np.empty(m, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(sorted_brk[1:], sorted_brk[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    run = np.cumsum(new_run) - 1
+    # The vertex, when there is one, is the last candidate.
+    point_vertex = ts[[0, -1]] if ts.size > 3 * m + 1 else ts[:1]
+    lo = np.concatenate([starts[run],
+                         np.searchsorted(sorted_brk, point_vertex, side="left")])
+    hi = np.concatenate([np.append(starts[1:], m)[run],
+                         np.searchsorted(sorted_brk, point_vertex, side="right")])
+    sorted_slope = slope[moving][order]
+    rising = sorted_slope > 0.0
+    falling = sorted_slope < 0.0
+    in1 = problem.mask1[moving][order]
+    still_positive = ~moving & (base >= 0.5)
+    # dp_gap[k]: parity at t strictly inside gap k, between sorted
+    # positions k - 1 and k; dp_on: at t with lo breakpoints below it
+    # and hi at or below it.
+    dp_gap = dp_on = 0.0
+    for sub, mask, scale in ((in1, problem.mask1, 1.0 / problem.n1),
+                             (~in1, problem.mask0, -1.0 / problem.n0)):
+        up = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(rising & sub, out=up[1:])
+        down = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(falling & sub, out=down[1:])
+        offset = np.count_nonzero(mask & still_positive) + down[-1]
+        dp_gap = dp_gap + scale * (offset + up - down)
+        dp_on = dp_on + scale * (offset + up[hi] - down[lo])
+    nxt = np.minimum(hi[:m], m - 1)
+    dp_above = np.where(sorted_brk[nxt] == ts[1 + m:1 + 2 * m][order],
+                        dp_on[nxt], dp_gap[hi[:m]])
+    prv = np.maximum(lo[:m] - 1, 0)
+    dp_below = np.where(sorted_brk[prv] == ts[1 + 2 * m:1 + 3 * m][order],
+                        dp_on[prv], dp_gap[lo[:m]])
+    dp = np.empty_like(ts)
+    dp[0] = dp_on[m]
+    dp[1 + 3 * m:] = dp_on[m + 1:]
+    for block, values in enumerate((dp_on[:m], dp_above, dp_below)):
+        dp[1 + block * m + order] = values
+    return dp
 
 
 def _polish(problem: _FairProblem, design: np.ndarray, start: np.ndarray,

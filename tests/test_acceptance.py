@@ -62,6 +62,7 @@ def test_criterion_2_balanced_groups_split_the_difference():
     assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_3_penalty_shrinks_the_parity_gap_at_every_count():
     t0 = time.monotonic()
     ds = generate_synthetic(SyntheticConfig())
@@ -81,6 +82,7 @@ def test_criterion_3_penalty_shrinks_the_parity_gap_at_every_count():
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_4_solver_matches_the_exhaustive_oracle():
     grid = GridSpec(intercept_low=-3.0, intercept_high=3.0, weight_low=-1.5,
                     weight_high=1.5, intercept_steps=600, weight_steps=300)

@@ -1,13 +1,17 @@
 """End-to-end command-line runs, in process, on temporary files."""
 import csv
+import dataclasses
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from fairlime import ThresholdOracle, load_csv
+from fairlime import ThresholdOracle, cli, load_csv
 from fairlime.cli import main
+
+from conftest import OneNaNScore
 
 LEAN = ["--restarts", "2", "--steps", "120", "--polish-rounds", "1",
         "--polish-dirs", "0"]
@@ -123,6 +127,32 @@ def test_explain_missing_data_file(tmp_path):
     rc = main(explain_args(str(tmp_path / "absent.csv"),
                            str(tmp_path / "e.json")))
     assert rc == 2
+
+
+@pytest.mark.parametrize("lambda2", ["0", "5"])
+def test_explain_nan_black_box_scores_are_a_data_error(data_csv, tmp_path,
+                                                       capsys, monkeypatch,
+                                                       lambda2):
+    monkeypatch.setattr(cli, "_model_for",
+                        lambda args, ds: OneNaNScore(ThresholdOracle()))
+    out = tmp_path / "e.json"
+    rc = main(explain_args(data_csv, str(out),
+                           extra=["--perturbations", "200",
+                                  "--lambda2", lambda2]))
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_explain_refuses_to_write_nan(data_csv, tmp_path, capsys, monkeypatch):
+    fit = cli.fair_explain_neighborhood
+    monkeypatch.setattr(cli, "fair_explain_neighborhood",
+                        lambda *a: dataclasses.replace(fit(*a),
+                                                       objective=math.nan))
+    out = tmp_path / "e.json"
+    assert main(explain_args(data_csv, str(out))) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_audit_demographic_parity_runs_locally(data_csv, tmp_path):

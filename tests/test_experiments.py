@@ -14,7 +14,7 @@ from fairlime import (DataError, ExplainConfig, KernelConfig, SyntheticConfig,
 from fairlime.experiments import (SweepReport, emit_report,
                                   run_boundary_experiment,
                                   run_perturbation_sweep, subsample_indices,
-                                  sweep_fair_config)
+                                  sweep_fair_config, write_json)
 
 
 def test_subsample_indices_hand_case():
@@ -161,6 +161,23 @@ def test_emit_json_round_trips(sweep_report, tmp_path):
     emit_report(sweep_report, "json", path)
     with open(path, encoding="utf-8") as fh:
         assert json.load(fh) == sweep_report.as_dict()
+
+
+def test_write_json_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "doc.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="non-finite"):
+            write_json({"psi": [0.1, bad]}, path)
+        assert not path.exists()
+
+
+def test_emit_json_rejects_a_report_holding_nan(sweep_report, tmp_path):
+    broken = dataclasses.replace(
+        sweep_report, mean_fair=(float("nan"),) + sweep_report.mean_fair[1:])
+    path = tmp_path / "sweep.json"
+    with pytest.raises(DataError, match="non-finite"):
+        emit_report(broken, "json", path)
+    assert not path.exists()
 
 
 def test_emit_csv_writes_one_row_per_cell(sweep_report, tmp_path):

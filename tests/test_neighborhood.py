@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairlime import (DataError, KernelConfig, LogisticModel, Neighborhood,
+from fairlime import (DataError, ExplainConfig, FairConfig, KernelConfig,
+                      LogisticModel, Neighborhood, fair_lime_explain,
                       SyntheticConfig, ThresholdOracle, feature_stats,
                       flip_group, generate_synthetic, kernel_weights,
                       sample_neighborhood, sample_two_group_neighborhood)
 
-from conftest import hand_neighborhood
+from conftest import OneNaNScore, hand_neighborhood
 
 
 def oracle():
@@ -171,6 +172,22 @@ def test_neighborhood_validation():
             distances=np.zeros(2), weights=np.ones(2), f_scores=scores,
             f_preds=np.array([1.0, 0.0]), group_col=0, kernel_width=1.0,
         )
+
+
+def test_neighborhood_rejects_non_finite_scores():
+    samples = np.array([[0.0, 5.0], [1.0, 6.0], [1.0, 7.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="finite"):
+            hand_neighborhood(samples, np.array([0.2, bad, 0.8]))
+
+
+@pytest.mark.parametrize("lambda2", [0.0, 5.0])
+def test_nan_black_box_score_fails_at_sampling(lambda2):
+    f = OneNaNScore(oracle())
+    x = np.array([1.0, 2.0, 5.5])
+    with pytest.raises(DataError, match="1 of 200"):
+        fair_lime_explain(f, x, synthetic_stats(), KernelConfig(n_samples=200),
+                          ExplainConfig(), FairConfig(lambda2=lambda2), seed=0)
 
 
 def test_neighborhood_groups_requires_group_col():

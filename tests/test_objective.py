@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from fairlime import (DataError, ExplainConfig, FairConfig, GridSpec,
@@ -15,7 +17,9 @@ from fairlime import (DataError, ExplainConfig, FairConfig, GridSpec,
                       grid_search_oracle, lime_explain,
                       sample_two_group_neighborhood, smoothed_objective,
                       smoothed_objective_gradient)
-from fairlime.objective import _FairProblem, _descend, psi
+from fairlime import objective
+from fairlime.objective import (POLISH_CANDIDATE_BOUND, _FairProblem, _descend,
+                                _line_minimum, psi)
 
 from conftest import hand_explanation, hand_neighborhood
 
@@ -327,3 +331,140 @@ def test_grid_spec_validation():
         GridSpec(weight_low=0.5, weight_high=0.5)
     with pytest.raises(ValueError):
         GridSpec(intercept_steps=0)
+
+
+def _line_minimum_reference(problem, design, beta, direction):
+    """The line search as first written: unsorted candidates, two
+    searchsorted passes per group. Kept as the reference that
+    _line_minimum must match bit for bit."""
+    base = design @ beta
+    slope = design @ direction
+    resid = base - problem.targets
+    q2 = float(np.sum(problem.wn * slope * slope))
+    q1 = float(np.sum(problem.wn * slope * resid))
+    q0 = float(np.sum(problem.wn * resid * resid))
+    moving = slope != 0.0
+    brk = (0.5 - base[moving]) / slope[moving]
+    pool = [np.zeros(1), brk, np.nextafter(brk, np.inf), np.nextafter(brk, -np.inf)]
+    if q2 > 0.0:
+        pool.append(np.array([-q1 / q2]))
+    ts = np.concatenate(pool)
+    ts = ts[np.isfinite(ts) & (np.abs(ts) <= POLISH_CANDIDATE_BOUND)]
+    fidelity = q2 * ts * ts + 2.0 * q1 * ts + q0
+    dp = np.zeros_like(ts)
+    for mask, scale in ((problem.mask1, 1.0 / problem.n1),
+                        (problem.mask0, -1.0 / problem.n0)):
+        sub = mask[moving]
+        fixed = np.count_nonzero(mask & ~moving & (base >= 0.5))
+        up = np.sort(brk[(slope[moving] > 0.0) & sub])
+        down = np.sort(brk[(slope[moving] < 0.0) & sub])
+        count = (fixed + np.searchsorted(up, ts, side="right")
+                 + down.size - np.searchsorted(down, ts, side="left"))
+        dp += scale * count
+    values = fidelity + problem.lambda2 * np.abs(problem.dp_blackbox - dp)
+    return float(ts[int(np.argmin(values))])
+
+
+def _ulp_chain(center, steps):
+    """``center`` and its ``steps`` nearest floats on either side."""
+    values = [center]
+    up = down = center
+    for _ in range(steps):
+        up = math.nextafter(up, math.inf)
+        down = math.nextafter(down, -math.inf)
+        values += [up, down]
+    return tuple(values)
+
+
+# With beta = (0, 0, 1) the score is x, and along the intercept axis the
+# breakpoints 0.5 - x of this chain round onto equal and adjacent floats.
+_CHAIN = _ulp_chain(0.2, 4)
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def line_searches(draw, chain=False):
+    """A random line search on a two-column (group, x) problem.
+
+    With ``chain`` the x values come from _CHAIN, the fit scores x
+    exactly and the line runs along the intercept axis, so breakpoints
+    coincide or sit one float apart for rising or falling scores.
+    """
+    n = draw(st.integers(2, 24))
+    if chain:
+        x_values = st.sampled_from(_CHAIN)
+    else:
+        x_values = draw(st.sampled_from([
+            st.floats(-3.0, 3.0),
+            st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
+            st.sampled_from(_CHAIN),
+        ]))
+    x = draw(st.lists(x_values, min_size=n, max_size=n))
+    g = [1.0, 0.0] + draw(st.lists(st.sampled_from((0.0, 1.0)),
+                                   min_size=n - 2, max_size=n - 2))
+    scores = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    lambda2 = draw(st.sampled_from((0.0, 1.0, 100.0)))
+    if chain:
+        beta = (0.0, 0.0, 1.0)
+        direction = draw(st.sampled_from([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]))
+    else:
+        beta = draw(st.one_of(st.just((0.0, 0.0, 1.0)),
+                              st.tuples(*[st.floats(-2.0, 2.0)] * 3)))
+        direction = draw(st.one_of(
+            # All zero, the intercept, the group column (group 0 stays
+            # put), and x.
+            st.sampled_from([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                             (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
+            st.tuples(_UNIT, _UNIT, _UNIT),
+            # Breakpoints beyond POLISH_CANDIDATE_BOUND.
+            st.tuples(_UNIT, _UNIT, _UNIT).map(lambda v: [1e-12 * c for c in v]),
+            # Slopes whose squares underflow: breakpoints but q2 == 0.
+            st.tuples(_UNIT, _UNIT, _UNIT).map(lambda v: [1e-170 * c for c in v]),
+        ))
+    nb = hand_neighborhood(np.column_stack([g, x]), scores, weights=weights)
+    problem = _FairProblem(nb, (0, 1), lambda2, 0.05)
+    design = np.column_stack([np.ones(n), problem.cols])
+    return problem, design, np.array(beta), np.array(direction, dtype=float)
+
+
+# Subnormal slopes overflow to infinite breakpoints, which both
+# versions must discard alike.
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+@settings(max_examples=700, deadline=None)
+@given(st.one_of(line_searches(), line_searches(chain=True)))
+def test_line_minimum_matches_the_reference_bit_for_bit(case):
+    fast = _line_minimum(*case)
+    reference = _line_minimum_reference(*case)
+    assert fast.hex() == reference.hex()
+
+
+def test_line_minimum_chain_has_equal_and_adjacent_breakpoints():
+    brk = np.sort(0.5 - np.array(_CHAIN))
+    gaps = np.nextafter(brk[:-1], np.inf)
+    assert np.any(brk[1:] == brk[:-1])
+    assert np.any(brk[1:] == gaps)
+
+
+@pytest.mark.parametrize("n_samples, seed, logistic", [
+    (200, 0, False), (200, 1, True), (200, 2, False),
+    (5000, 3, False), (5000, 4, True),
+])
+def test_fair_fit_is_bit_equal_under_the_reference_line_search(
+        monkeypatch, n_samples, seed, logistic):
+    stats = fig_one_stats()
+    f = (LogisticModel(np.array([0.8, 0.3, 1.1]), -6.0) if logistic
+         else ThresholdOracle())
+    x = np.array([1.0, 2.0, 5.2 + 0.2 * seed])
+    nb = sample_two_group_neighborhood(x, stats, f,
+                                       KernelConfig(n_samples=n_samples), seed)
+    cfg = ExplainConfig()
+    fair = FairConfig(lambda2=5.0, restarts=3, steps=150, polish_rounds=3,
+                      polish_dirs=8, seed=seed)
+    fast = fair_explain_neighborhood(nb, cfg, fair)
+    monkeypatch.setattr(objective, "_line_minimum", _line_minimum_reference)
+    reference = fair_explain_neighborhood(nb, cfg, fair)
+    assert fast.intercept.hex() == reference.intercept.hex()
+    assert fast.coefficients.tobytes() == reference.coefficients.tobytes()
+    assert (json.dumps(fast.as_dict(), sort_keys=True)
+            == json.dumps(reference.as_dict(), sort_keys=True))
