@@ -16,10 +16,10 @@ from .experiments import (BoundaryReport, SweepReport, emit_report,
 from .metrics import (CounterfactualReport, MetricResult, MismatchReport,
                       SensitiveImportanceReport, counterfactual_check,
                       demographic_parity, evaluate_metric, fairness_mismatch,
-                      group_metric, sensitive_importance)
+                      sensitive_importance)
 from .models import (LogisticModel, MLP, ThresholdOracle, TrainConfig,
-                     accuracy, gradient_check, load_model, mlp_gradient,
-                     save_model, train_mlp)
+                     accuracy, gradient_check, load_model, save_model,
+                     train_mlp)
 from .neighborhood import (KernelConfig, Neighborhood, flip_group,
                            kernel_weights, sample_neighborhood,
                            sample_two_group_neighborhood)
@@ -44,9 +44,9 @@ __all__ = [
     "evaluate_metric", "explain_neighborhood", "fair_explain_neighborhood",
     "fair_lime_explain", "fairness_mismatch", "feature_stats",
     "fidelity_loss", "flip_group", "generate_synthetic", "gradient_check",
-    "grid_search_oracle", "group_metric", "implied_boundary",
+    "grid_search_oracle", "implied_boundary",
     "kernel_weights", "lime_explain", "load_csv", "load_model",
-    "mlp_gradient", "psi", "run_boundary_experiment",
+    "psi", "run_boundary_experiment",
     "run_perturbation_sweep", "sample_neighborhood",
     "sample_two_group_neighborhood", "save_model", "sensitive_importance",
     "smoothed_objective", "smoothed_objective_gradient", "split",

@@ -60,16 +60,7 @@ def _conditional_rate(values: np.ndarray, mask: np.ndarray, *, metric: str,
 
 def demographic_parity(preds, groups, *, side: str | None = None) -> float:
     """P(prediction = 1 | group 1) - P(prediction = 1 | group 0)."""
-    preds = _as_binary("preds", preds)
-    groups = _as_binary("groups", groups)
-    if preds.shape != groups.shape:
-        raise DataError("preds and groups must have the same length")
-    counts: dict = {}
-    r1 = _conditional_rate(preds, groups == 1.0, metric=DEMOGRAPHIC_PARITY,
-                           population="group 1", counts=counts, side=side)
-    r0 = _conditional_rate(preds, groups == 0.0, metric=DEMOGRAPHIC_PARITY,
-                           population="group 0", counts=counts, side=side)
-    return r1 - r0
+    return evaluate_metric(DEMOGRAPHIC_PARITY, preds, groups, side=side).value
 
 
 @dataclass(frozen=True)
@@ -158,11 +149,6 @@ def evaluate_metric(kind: str, preds, groups, labels=None, *,
          "tpr_group1": t1, "tpr_group0": t0,
          "fpr_group1": f1, "fpr_group0": f0},
     )
-
-
-def group_metric(kind: str, preds, groups, labels=None) -> float:
-    """Scalar reading of one named metric; see evaluate_metric."""
-    return evaluate_metric(kind, preds, groups, labels).value
 
 
 @dataclass(frozen=True)

@@ -251,11 +251,6 @@ class MLP:
         return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2, gw3, [gb3]])
 
 
-def mlp_gradient(model: MLP, X, y):
-    """Gradient of the batch mean cross-entropy; see MLP.gradient."""
-    return model.gradient(X, y)
-
-
 def finite_difference_gradient(model: MLP, X, y, step: float = 1e-5) -> np.ndarray:
     """Central-difference loss gradient, one coordinate at a time."""
     base = model.flat_params()

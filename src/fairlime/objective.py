@@ -26,6 +26,10 @@ from .neighborhood import KernelConfig, Neighborhood, sample_two_group_neighborh
 from .surrogate import ExplainConfig, Explanation, explain_neighborhood
 
 ARMIJO_C1 = 1e-4
+# First trial step of the descent's backtracking line search.
+INITIAL_STEP = 1.0
+# Scale of the Gaussian noise that moves restarts 1.. off the plain fit.
+RESTART_NOISE = 0.1
 MAX_BACKTRACKS = 60
 MAX_STEP = 1e6
 GRAD_TOL = 1e-8
@@ -44,7 +48,7 @@ class FairConfig:
     solve reduces exactly to the plain surrogate. ``tau`` is the sigmoid
     temperature on the score scale. One descent restart always starts
     at the plain least-squares solution; the remaining ``restarts - 1``
-    perturb it with Gaussian noise of scale ``noise_scale``. Every
+    perturb it with Gaussian noise of scale ``RESTART_NOISE``. Every
     descent result then gets ``polish_rounds`` rounds of exact line
     minimization of the hard objective, sweeping the coordinate axes
     plus ``polish_dirs`` random directions per round; 0 keeps the
@@ -56,8 +60,6 @@ class FairConfig:
     tau: float = 0.05
     restarts: int = 5
     steps: int = 300
-    step_size: float = 1.0
-    noise_scale: float = 0.1
     polish_rounds: int = 3
     polish_dirs: int = 16
     seed: int = 0
@@ -71,10 +73,6 @@ class FairConfig:
             raise ValueError("restarts must be at least 1")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
-        if self.noise_scale < 0.0:
-            raise ValueError("noise_scale must be nonnegative")
         if self.polish_rounds < 0:
             raise ValueError("polish_rounds must be nonnegative")
         if self.polish_dirs < 0:
@@ -203,7 +201,7 @@ def smoothed_objective_gradient(beta, nb: Neighborhood, active, lambda2: float,
 
 
 def _descend(problem: _FairProblem, start: np.ndarray, steps: int,
-             step_size: float, restart_index: int) -> tuple[np.ndarray, float]:
+             restart_index: int) -> tuple[np.ndarray, float]:
     """Gradient descent with backtracking line search; monotone by
     construction, so the result never scores worse than the start."""
     beta = np.array(start, dtype=float)
@@ -212,7 +210,7 @@ def _descend(problem: _FairProblem, start: np.ndarray, steps: int,
         raise OptimizationError(
             "non-finite objective at descent start", restart_index=restart_index
         )
-    step = step_size
+    step = INITIAL_STEP
     for _ in range(steps):
         grad = problem.smooth_gradient(beta)
         gsq = float(grad @ grad)
@@ -266,7 +264,10 @@ def _line_minimum(problem: _FairProblem, design: np.ndarray, beta: np.ndarray,
     q1 = float(np.sum(problem.wn * slope * resid))
     q0 = float(np.sum(problem.wn * resid * resid))
     moving = slope != 0.0
-    brk = (0.5 - base[moving]) / slope[moving]
+    # A subnormal slope overflows to an infinite breakpoint, which the
+    # bound filter below drops.
+    with np.errstate(over="ignore"):
+        brk = (0.5 - base[moving]) / slope[moving]
     vertex = [-q1 / q2] if q2 > 0.0 else []
     ts = np.concatenate([[0.0], brk, np.nextafter(brk, np.inf),
                          np.nextafter(brk, -np.inf), vertex])
@@ -393,7 +394,10 @@ class FairExplanation(Explanation):
 
     ``objective`` prices the hard parity gap; ``objective_smooth`` is
     the same expression with the sigmoid-relaxed gap and exists so the
-    optimizer's own yardstick stays inspectable.
+    optimizer's own yardstick stays inspectable. ``psi_vanilla`` is the
+    hard parity gap of the plain surrogate on the same neighborhood, so
+    one fit carries both sides of the comparison; ``as_dict`` leaves it
+    out.
     """
 
     tau: float
@@ -402,12 +406,11 @@ class FairExplanation(Explanation):
     dp_surrogate_smooth: float
     psi_smooth: float
     objective_smooth: float
-    restart_count: int
+    psi_vanilla: float
 
     def as_dict(self) -> dict:
         doc = super().as_dict()
         doc["tau"] = self.tau
-        doc["restart_count"] = self.restart_count
         doc["objective_smooth"] = self.objective_smooth
         doc["objective_breakdown"].update(
             {
@@ -420,9 +423,12 @@ class FairExplanation(Explanation):
         return doc
 
 
-def _assemble(nb: Neighborhood, active, beta: np.ndarray, cfg: ExplainConfig,
-              fair: FairConfig, problem: _FairProblem,
-              restart_count: int) -> FairExplanation:
+def _assemble(problem: _FairProblem, nb: Neighborhood, active, beta: np.ndarray,
+              v_beta: np.ndarray, cfg: ExplainConfig,
+              fair: FairConfig) -> FairExplanation:
+    """The explanation with parameters ``beta`` on ``problem``, whose
+    plain (vanilla) start is ``v_beta``; every FairExplanation is built
+    here."""
     scores = problem.scores(beta)
     loss = problem.loss(scores)
     dp_hard = problem.hard_dp(scores)
@@ -453,8 +459,18 @@ def _assemble(nb: Neighborhood, active, beta: np.ndarray, cfg: ExplainConfig,
         dp_surrogate_smooth=dp_smooth,
         psi_smooth=psi_smooth,
         objective_smooth=loss + penalty + fair.lambda2 * psi_smooth,
-        restart_count=restart_count,
+        psi_vanilla=abs(problem.dp_blackbox
+                        - problem.hard_dp(problem.scores(v_beta))),
     )
+
+
+def _vanilla_start(nb: Neighborhood, cfg: ExplainConfig):
+    """The plain surrogate's active set and its parameters
+    [intercept, weights over the active set]."""
+    vanilla = explain_neighborhood(nb, cfg)
+    active = vanilla.active
+    return active, np.concatenate([[vanilla.intercept],
+                                   vanilla.coefficients[list(active)]])
 
 
 def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
@@ -462,7 +478,7 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
     """Fit the parity-penalized surrogate on a two-group neighborhood.
 
     The active set is the plain surrogate's greedy selection. With
-    lambda2 = 0 the plain solution is copied verbatim, bit for bit.
+    lambda2 = 0 the plain solution is returned verbatim, bit for bit.
     Otherwise multi-restart descent on the smoothed objective runs from
     the plain solution (restart 0) and noisy copies of it, every
     descent result plus the plain solution gets an exact line-search
@@ -475,48 +491,21 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
     the smooth value would discard exactly the solutions the penalty
     is after.
     """
-    vanilla = explain_neighborhood(nb, cfg)
-    active = vanilla.active
+    active, v_beta = _vanilla_start(nb, cfg)
     problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
-    v_beta = np.concatenate([[vanilla.intercept], vanilla.coefficients[list(active)]])
     if fair.lambda2 == 0.0:
-        scores = problem.scores(v_beta)
-        dp_hard = problem.hard_dp(scores)
-        dp_smooth = problem.smooth_dp(scores)
-        return FairExplanation(
-            feature_names=vanilla.feature_names,
-            center=vanilla.center,
-            active=vanilla.active,
-            intercept=vanilla.intercept,
-            coefficients=vanilla.coefficients,
-            lambda1=vanilla.lambda1,
-            lambda2=0.0,
-            n_samples=vanilla.n_samples,
-            kernel_width=vanilla.kernel_width,
-            seed=vanilla.seed,
-            loss=vanilla.loss,
-            complexity=vanilla.complexity,
-            psi_hard=abs(problem.dp_blackbox - dp_hard),
-            objective=vanilla.objective,
-            tau=fair.tau,
-            dp_blackbox=problem.dp_blackbox,
-            dp_surrogate_hard=dp_hard,
-            dp_surrogate_smooth=dp_smooth,
-            psi_smooth=abs(problem.dp_blackbox - dp_smooth),
-            objective_smooth=vanilla.objective,
-            restart_count=0,
-        )
+        return _assemble(problem, nb, active, v_beta, v_beta, cfg, fair)
     rng = np.random.default_rng(fair.seed)
     design = np.column_stack([np.ones(problem.cols.shape[0]), problem.cols])
     starts = [v_beta]
     for r in range(fair.restarts):
         start = v_beta
         if r > 0:
-            start = v_beta + fair.noise_scale * rng.standard_normal(v_beta.shape)
-        beta_r, _ = _descend(problem, start, fair.steps, fair.step_size, r)
+            start = v_beta + RESTART_NOISE * rng.standard_normal(v_beta.shape)
+        beta_r, _ = _descend(problem, start, fair.steps, r)
         starts.append(beta_r)
     if fair.polish_dirs > 0 and len(active) <= 2:
-        starts.append(_coarse_scan_seed(nb, cfg, fair, v_beta, active))
+        starts.append(_coarse_scan_seed(problem, v_beta))
     candidates = list(starts)
     for i, s in enumerate(starts):
         candidates.append(
@@ -524,7 +513,7 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
                     fair.polish_dirs, (fair.seed, _POLISH_STREAM, i))
         )
     pick = min(candidates, key=problem.hard_value)
-    return _assemble(nb, active, pick, cfg, fair, problem, fair.restarts)
+    return _assemble(problem, nb, active, pick, v_beta, cfg, fair)
 
 
 def fair_lime_explain(f, x, stats, kc: KernelConfig, cfg: ExplainConfig,
@@ -540,8 +529,7 @@ _COARSE_RESOLUTION = 0.05
 _COARSE_MAX_STEPS = 200
 
 
-def _coarse_scan_seed(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
-                      v_beta: np.ndarray, active) -> np.ndarray:
+def _coarse_scan_seed(problem: _FairProblem, v_beta: np.ndarray) -> np.ndarray:
     """Global polish seed from a cheap low-resolution lattice scan.
 
     Random restarts explore a noise ball around the plain fit; when the
@@ -564,8 +552,7 @@ def _coarse_scan_seed(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
         intercept_steps=i_steps,
         weight_steps=w_steps,
     )
-    seed = grid_search_oracle(nb, cfg, fair, grid=grid)
-    return np.concatenate([[seed.intercept], seed.coefficients[list(active)]])
+    return _grid_minimum(problem, grid)
 
 
 @dataclass(frozen=True)
@@ -614,29 +601,18 @@ class GridSpec:
         )
 
 
-def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
-                       grid: GridSpec | None = None,
-                       chunk: int = 4096) -> Explanation:
-    """Exhaustive search of the exact hard objective over a grid.
+# Weight combinations scored per block of the grid scan.
+_GRID_CHUNK = 4096
 
-    The active set is the plain surrogate's greedy selection, capped at
-    two features since the grid is exponential in dimension. Ties break
-    toward the lowest objective, then the smallest weight max-norm,
-    then lexicographically over (intercept, weights). Intended as an
-    independent check on the gradient solver, not for production use.
-    """
-    if grid is None:
-        grid = GridSpec()
-    vanilla = explain_neighborhood(nb, cfg)
-    active = vanilla.active
-    if len(active) > 2:
-        raise DataError(
-            f"grid oracle supports at most 2 active features, got {len(active)}"
-        )
-    problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
+
+def _grid_minimum(problem: _FairProblem, grid: GridSpec) -> np.ndarray:
+    """The grid point [intercept, weights] with the lowest hard objective
+    on ``problem``, which has one or two columns. Ties break toward the
+    smallest weight max-norm, then lexicographically over (intercept,
+    weights)."""
     b_axis = grid.intercept_axis()
     w_axis = grid.weight_axis()
-    if len(active) == 1:
+    if problem.cols.shape[1] == 1:
         combos = w_axis[:, None]
     else:
         a, b = np.meshgrid(w_axis, w_axis, indexing="ij")
@@ -645,8 +621,8 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
     inv1, inv0 = 1.0 / problem.n1, 1.0 / problem.n0
     best_key = None
     best_beta = None
-    for lo in range(0, combos.shape[0], chunk):
-        w_chunk = combos[lo:lo + chunk]
+    for lo in range(0, combos.shape[0], _GRID_CHUNK):
+        w_chunk = combos[lo:lo + _GRID_CHUNK]
         c = w_chunk.shape[0]
         z = problem.cols @ w_chunk.T
         d = z - problem.targets[:, None]
@@ -665,7 +641,7 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
                 flat.ravel(), minlength=(n_axis + 1) * c
             ).reshape(n_axis + 1, c)
             dp += scale * np.cumsum(counts[:n_axis], axis=0)
-        values = fidelity + fair.lambda2 * np.abs(problem.dp_blackbox - dp)
+        values = fidelity + problem.lambda2 * np.abs(problem.dp_blackbox - dp)
         low = float(values.min())
         if best_key is not None and low > best_key[0]:
             continue
@@ -676,24 +652,26 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
             if best_key is None or key < best_key:
                 best_key = key
                 best_beta = np.concatenate([[b_axis[j]], w])
-    scores = problem.scores(best_beta)
-    loss = problem.loss(scores)
-    psi_hard = abs(problem.dp_blackbox - problem.hard_dp(scores))
-    coefficients = np.zeros(nb.n_features)
-    coefficients[list(active)] = best_beta[1:]
-    return Explanation(
-        feature_names=nb.feature_names,
-        center=nb.center,
-        active=active,
-        intercept=float(best_beta[0]),
-        coefficients=coefficients,
-        lambda1=cfg.lambda1,
-        lambda2=fair.lambda2,
-        n_samples=nb.n_samples,
-        kernel_width=nb.kernel_width,
-        seed=nb.seed,
-        loss=loss,
-        complexity=len(active),
-        psi_hard=psi_hard,
-        objective=loss + cfg.lambda1 * len(active) + fair.lambda2 * psi_hard,
-    )
+    return best_beta
+
+
+def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
+                       grid: GridSpec | None = None) -> FairExplanation:
+    """Exhaustive search of the exact hard objective over a grid.
+
+    The active set is the plain surrogate's greedy selection, capped at
+    two features since the grid is exponential in dimension. Ties break
+    toward the lowest objective, then the smallest weight max-norm,
+    then lexicographically over (intercept, weights). Intended as an
+    independent check on the gradient solver, not for production use.
+    """
+    if grid is None:
+        grid = GridSpec()
+    active, v_beta = _vanilla_start(nb, cfg)
+    if len(active) > 2:
+        raise DataError(
+            f"grid oracle supports at most 2 active features, got {len(active)}"
+        )
+    problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
+    return _assemble(problem, nb, active, _grid_minimum(problem, grid), v_beta,
+                     cfg, fair)

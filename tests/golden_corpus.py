@@ -18,9 +18,16 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from fairlime import (ExplainConfig, FairConfig, GridSpec, KernelConfig,
+                      LogisticModel, TabularDataset, cli,
+                      fair_explain_neighborhood, feature_stats,
+                      grid_search_oracle, sample_two_group_neighborhood)
+from fairlime.experiments import write_json
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -29,8 +36,6 @@ ROW = 17
 
 
 def _cli(argv) -> None:
-    from fairlime import cli
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
@@ -42,12 +47,6 @@ def _solver_and_grid(path: Path) -> None:
     """A criterion-4-style instance: group g plus one continuous x, a
     logistic black box, 200 perturbations, lambda2 = 5; the solver takes
     its coarse-lattice seed path and the grid oracle checks it."""
-    from fairlime import (ExplainConfig, FairConfig, GridSpec, KernelConfig,
-                          LogisticModel, TabularDataset,
-                          fair_explain_neighborhood, feature_stats,
-                          grid_search_oracle, sample_two_group_neighborhood)
-    from fairlime.experiments import write_json
-
     rng = np.random.default_rng(SEED)
     g = (rng.random(300) < 0.5).astype(float)
     x = rng.normal(0.0, 1.0, 300) + 0.5 * g
@@ -73,7 +72,8 @@ def build(workdir: Path) -> dict[str, bytes]:
     common = ["--data", data, "--label", "y", "--seed", SEED]
     for lambda2 in ("5", "0"):
         _cli(["explain", *common, "--model", model, "--row", ROW,
-              "--lambda2", lambda2, "--out", workdir / f"explain-lambda2-{lambda2}.json"])
+              "--lambda2", lambda2,
+              "--out", workdir / f"explain-lambda2-{lambda2}.json"])
     _cli(["audit", *common, "--model", model, "--metric", "dp", "--points", 8,
           "--perturbations", 300, "--out", workdir / "audit-dp.json"])
     _cli(["sweep", *common, "--model", "oracle", "--counts", "100,200",
@@ -85,8 +85,6 @@ def build(workdir: Path) -> dict[str, bytes]:
 
 
 def main() -> int:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         corpus = build(Path(tmp))
     GOLDEN_DIR.mkdir(exist_ok=True)

@@ -11,8 +11,8 @@ from fairlime import (DataError, ExplainConfig, KernelConfig, LogisticModel,
                       MetricUndefinedError, SyntheticConfig, ThresholdOracle,
                       counterfactual_check, demographic_parity,
                       evaluate_metric, fairness_mismatch, feature_stats,
-                      flip_group, generate_synthetic, group_metric,
-                      lime_explain, sensitive_importance)
+                      flip_group, generate_synthetic, lime_explain,
+                      sensitive_importance)
 from fairlime.metrics import (DEMOGRAPHIC_PARITY, EQUAL_OPPORTUNITY,
                               EQUALIZED_ODDS, METRIC_NAMES, PREDICTIVE_PARITY,
                               SIDE_SURROGATE)
@@ -69,19 +69,19 @@ def test_dp_range_antisymmetry_permutation(data):
 def test_equal_opportunity_perfect_classifier():
     labels = np.array([1, 0, 1, 0, 1, 0], dtype=float)
     groups = np.array([1, 1, 1, 0, 0, 0], dtype=float)
-    assert group_metric(EQUAL_OPPORTUNITY, labels, groups, labels) == 0.0
+    assert evaluate_metric(EQUAL_OPPORTUNITY, labels, groups, labels).value == 0.0
 
 
 def test_equal_opportunity_hand_case():
-    value = group_metric(EQUAL_OPPORTUNITY, [1, 1, 0, 0], [1, 1, 0, 0],
-                         [1, 0, 1, 0])
+    value = evaluate_metric(EQUAL_OPPORTUNITY, [1, 1, 0, 0], [1, 1, 0, 0],
+                            [1, 0, 1, 0]).value
     assert value == 1.0
 
 
 def test_equal_opportunity_undefined_conditional():
     with pytest.raises(MetricUndefinedError) as info:
-        group_metric(EQUAL_OPPORTUNITY, [1, 0, 1, 0], [1, 1, 0, 0],
-                     [1, 0, 0, 0])
+        evaluate_metric(EQUAL_OPPORTUNITY, [1, 0, 1, 0], [1, 1, 0, 0],
+                        [1, 0, 0, 0])
     assert info.value.group_counts["group 0 with label 1"] == 0
 
 
@@ -105,8 +105,8 @@ def test_equalized_odds_takes_the_larger_gap():
 
 
 def test_predictive_parity_hand_case():
-    value = group_metric(PREDICTIVE_PARITY, [1, 1, 1, 0], [1, 1, 0, 0],
-                         [1, 0, 1, 1])
+    value = evaluate_metric(PREDICTIVE_PARITY, [1, 1, 1, 0], [1, 1, 0, 0],
+                            [1, 0, 1, 1]).value
     assert value == -0.5
 
 
@@ -128,11 +128,11 @@ def test_all_metrics_invariant_under_joint_permutation(data):
                                    list(data[3]))
     for kind in METRIC_NAMES:
         try:
-            value = group_metric(kind, preds, groups, labels)
+            value = evaluate_metric(kind, preds, groups, labels).value
         except MetricUndefinedError:
             continue
-        assert group_metric(kind, preds[perm], groups[perm],
-                            labels[perm]) == value
+        assert evaluate_metric(kind, preds[perm], groups[perm],
+                               labels[perm]).value == value
 
 
 def test_mismatch_identity_is_zero_for_every_metric():

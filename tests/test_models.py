@@ -4,8 +4,7 @@ import pytest
 
 from fairlime import (DataError, LogisticModel, MLP, ModelFormatError,
                       TabularDataset, ThresholdOracle, TrainConfig, accuracy,
-                      gradient_check, load_model, mlp_gradient, save_model,
-                      train_mlp)
+                      gradient_check, load_model, save_model, train_mlp)
 from fairlime.models import VARIANT_MLP3
 
 
@@ -178,7 +177,7 @@ def test_mlp_gradient_zero_params_balanced_batch():
     model.set_flat_params(np.zeros(model.flat_params().size))
     X = np.random.default_rng(1).standard_normal((10, 2))
     y = np.array([1.0, 0.0] * 5)
-    grads = mlp_gradient(model, X, y)
+    grads = model.gradient(X, y)
     assert grads[5] == 0.0
     assert np.all(grads[4] == 0.0)
 

@@ -1,6 +1,8 @@
 """Parity-penalized surrogate fitting and its brute-force cross-check."""
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,7 +172,6 @@ def test_lambda2_zero_reduces_to_plain_fit():
     assert fair.active == plain.active
     assert fair.loss == plain.loss
     assert fair.objective == plain.objective
-    assert fair.restart_count == 0
 
 
 def test_lambda2_zero_end_to_end_matches_lime():
@@ -228,7 +229,7 @@ def test_fair_explanation_serializes_with_penalty_fields():
                                              polish_dirs=0, seed=0))
     doc = e.as_dict()
     assert doc["tau"] == 0.05
-    assert doc["restart_count"] == 2
+    assert "psi_vanilla" not in doc
     breakdown = doc["objective_breakdown"]
     for key in ("psi_hard", "psi_smooth", "dp_blackbox",
                 "dp_surrogate_hard", "dp_surrogate_smooth"):
@@ -259,7 +260,7 @@ def test_divergent_descent_reports_restart_index():
     nb = oracle_neighborhood(seed=1)
     problem = _FairProblem(nb, (0, 1, 2), 5.0, 0.05)
     with pytest.raises(OptimizationError) as info:
-        _descend(problem, np.array([np.nan, 0.0, 0.0, 0.0]), 10, 1.0, 3)
+        _descend(problem, np.array([np.nan, 0.0, 0.0, 0.0]), 10, 3)
     assert info.value.restart_index == 3
 
 
@@ -439,6 +440,26 @@ def test_line_minimum_matches_the_reference_bit_for_bit(case):
     assert fast.hex() == reference.hex()
 
 
+def test_line_minimum_drops_overflowing_breakpoints_without_a_warning():
+    # Rows 1 and 4 have group 0 and x = 0, so their slope along this
+    # direction is the subnormal 1e-315 and their breakpoints overflow.
+    g = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+    x = np.array([0.0, 0.0, 0.3, 0.9, 0.0, 0.6])
+    nb = hand_neighborhood(np.column_stack([g, x]),
+                           [0.2, 0.7, 0.4, 0.9, 0.1, 0.6])
+    problem = _FairProblem(nb, (0, 1), 1.0, 0.05)
+    design = np.column_stack([np.ones(6), problem.cols])
+    beta = np.array([0.1, 0.0, 1.0])
+    direction = 1e-170 * np.array([1e-145, 0.5, -0.25])
+    with np.errstate(over="ignore"):
+        assert np.any(np.isinf((0.5 - design @ beta) / (design @ direction)))
+        reference = _line_minimum_reference(problem, design, beta, direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = _line_minimum(problem, design, beta, direction)
+    assert t.hex() == reference.hex()
+
+
 def test_line_minimum_chain_has_equal_and_adjacent_breakpoints():
     brk = np.sort(0.5 - np.array(_CHAIN))
     gaps = np.nextafter(brk[:-1], np.inf)
@@ -468,3 +489,75 @@ def test_fair_fit_is_bit_equal_under_the_reference_line_search(
     assert fast.coefficients.tobytes() == reference.coefficients.tobytes()
     assert (json.dumps(fast.as_dict(), sort_keys=True)
             == json.dumps(reference.as_dict(), sort_keys=True))
+
+
+@st.composite
+def fit_cases(draw):
+    """A sampled two-group neighborhood of at most 300 perturbations
+    around a fig-one point, scored by the threshold oracle or a random
+    logistic black box, with a lean penalized config. One or two active
+    features with polish directions take the coarse-seed path."""
+    if draw(st.booleans()):
+        f = ThresholdOracle()
+    else:
+        f = LogisticModel(np.array(draw(st.tuples(*[st.floats(-3.0, 3.0)] * 3))),
+                          draw(st.floats(-8.0, 0.0)))
+    x = np.array([1.0, 2.0, draw(st.floats(4.0, 7.0))])
+    nb = sample_two_group_neighborhood(
+        x, fig_one_stats(), f, KernelConfig(n_samples=draw(st.integers(50, 300))),
+        draw(st.integers(0, 2**16)))
+    cfg = ExplainConfig(n_features=draw(st.integers(1, 3)))
+    fair = FairConfig(lambda2=draw(st.sampled_from((0.5, 5.0, 50.0))),
+                      restarts=2, steps=60, polish_rounds=1,
+                      polish_dirs=draw(st.sampled_from((0, 4))),
+                      seed=draw(st.integers(0, 100)))
+    return nb, cfg, fair
+
+
+def _penalty_off(fair):
+    return dataclasses.replace(fair, lambda2=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_cases())
+def test_property_lambda2_zero_is_the_plain_fit_bit_for_bit(case):
+    nb, cfg, fair = case
+    plain = explain_neighborhood(nb, cfg)
+    off = fair_explain_neighborhood(nb, cfg, _penalty_off(fair))
+    assert off.active == plain.active
+    assert off.intercept.hex() == plain.intercept.hex()
+    assert off.coefficients.tobytes() == plain.coefficients.tobytes()
+    assert off.loss.hex() == plain.loss.hex()
+    assert off.objective.hex() == plain.objective.hex()
+    assert off.objective_smooth.hex() == plain.objective.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_cases())
+def test_property_psi_vanilla_is_the_psi_of_the_penalty_off_fit(case):
+    nb, cfg, fair = case
+    off = fair_explain_neighborhood(nb, cfg, _penalty_off(fair))
+    fit = fair_explain_neighborhood(nb, cfg, fair)
+    assert fit.psi_vanilla.hex() == off.psi_hard.hex()
+    assert off.psi_vanilla.hex() == off.psi_hard.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_cases())
+def test_property_fit_never_loses_to_the_plain_hard_objective(case):
+    nb, cfg, fair = case
+    plain = explain_neighborhood(nb, cfg)
+    plain_hard = plain.objective + fair.lambda2 * psi(plain, nb).psi_hard
+    fit = fair_explain_neighborhood(nb, cfg, fair)
+    assert fit.objective <= plain_hard + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_cases())
+def test_property_doubling_kernel_weights_leaves_the_fit_bit_identical(case):
+    nb, cfg, fair = case
+    doubled = dataclasses.replace(nb, weights=2.0 * nb.weights)
+    a = fair_explain_neighborhood(nb, cfg, fair)
+    b = fair_explain_neighborhood(doubled, cfg, fair)
+    assert json.dumps(a.as_dict()) == json.dumps(b.as_dict())
+    assert a.psi_vanilla.hex() == b.psi_vanilla.hex()
