@@ -23,9 +23,9 @@ from .models import (LogisticModel, MLP, ThresholdOracle, TrainConfig,
 from .neighborhood import (KernelConfig, Neighborhood, flip_group,
                            kernel_weights, sample_neighborhood,
                            sample_two_group_neighborhood)
-from .objective import (FairConfig, FairExplanation, GridSpec, PsiBreakdown,
+from .objective import (FairConfig, FairExplanation, GridSpec,
                         fair_explain_neighborhood, fair_lime_explain,
-                        grid_search_oracle, psi, smoothed_objective,
+                        grid_search_oracle, smoothed_objective,
                         smoothed_objective_gradient)
 from .surrogate import (ExplainConfig, Explanation, explain_neighborhood,
                         fidelity_loss, implied_boundary, lime_explain)
@@ -37,7 +37,7 @@ __all__ = [
     "Explanation", "FairConfig", "FairExplanation", "FeatureStats",
     "GridSpec", "KernelConfig", "LogisticModel", "MLP", "MetricResult",
     "MetricUndefinedError", "MismatchReport", "ModelFormatError",
-    "Neighborhood", "OptimizationError", "PsiBreakdown",
+    "Neighborhood", "OptimizationError",
     "SensitiveImportanceReport", "SweepReport", "SyntheticConfig",
     "TabularDataset", "ThresholdOracle", "TrainConfig", "accuracy",
     "counterfactual_check", "demographic_parity", "emit_report",
@@ -46,7 +46,7 @@ __all__ = [
     "fidelity_loss", "flip_group", "generate_synthetic", "gradient_check",
     "grid_search_oracle", "implied_boundary",
     "kernel_weights", "lime_explain", "load_csv", "load_model",
-    "psi", "run_boundary_experiment",
+    "run_boundary_experiment",
     "run_perturbation_sweep", "sample_neighborhood",
     "sample_two_group_neighborhood", "save_model", "sensitive_importance",
     "smoothed_objective", "smoothed_objective_gradient", "split",

@@ -22,7 +22,7 @@ from .errors import (DataError, MetricUndefinedError, ModelFormatError,
                      OptimizationError)
 from .experiments import (emit_report, run_boundary_experiment,
                           run_perturbation_sweep, subsample_indices,
-                          write_json)
+                          sweep_fair_config, write_json)
 from .metrics import (DEMOGRAPHIC_PARITY, EQUAL_OPPORTUNITY, EQUALIZED_ODDS,
                       PREDICTIVE_PARITY, counterfactual_check,
                       fairness_mismatch, sensitive_importance)
@@ -74,16 +74,16 @@ def _add_data_flags(p: argparse.ArgumentParser, with_label: bool = True) -> None
                        help="name of the binary label column, if any")
 
 
-def _add_fair_flags(p: argparse.ArgumentParser, restarts: int, steps: int,
-                    polish_rounds: int, polish_dirs: int) -> None:
-    p.add_argument("--lambda1", type=float, default=0.01,
-                   help="price per active feature (default 0.01)")
-    p.add_argument("--tau", type=float, default=0.05,
+def _add_fair_flags(p: argparse.ArgumentParser, defaults: FairConfig) -> None:
+    lambda1 = ExplainConfig().lambda1
+    p.add_argument("--lambda1", type=float, default=lambda1,
+                   help=f"price per active feature (default {lambda1})")
+    p.add_argument("--tau", type=float, default=defaults.tau,
                    help="sigmoid temperature for the smoothed penalty")
-    p.add_argument("--restarts", type=int, default=restarts)
-    p.add_argument("--steps", type=int, default=steps)
-    p.add_argument("--polish-rounds", type=int, default=polish_rounds)
-    p.add_argument("--polish-dirs", type=int, default=polish_dirs,
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--steps", type=int, default=defaults.steps)
+    p.add_argument("--polish-rounds", type=int, default=defaults.polish_rounds)
+    p.add_argument("--polish-dirs", type=int, default=defaults.polish_dirs,
                    help="random polish directions per round (0: coordinate "
                         "sweeps only)")
     p.add_argument("--k", type=int, default=None,
@@ -127,14 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"model file path, or '{ORACLE_KEYWORD}' for the "
                         "threshold oracle")
     p.add_argument("--row", type=int, required=True)
-    p.add_argument("--lambda2", type=float, default=5.0,
+    p.add_argument("--lambda2", type=float, default=FairConfig().lambda2,
                    help="parity-preservation penalty weight (0 disables)")
     p.add_argument("--perturbations", type=int, default=1000)
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump-neighborhood", default=None, metavar="CSV",
                    help="also write the sampled neighborhood to this CSV")
-    _add_fair_flags(p, restarts=5, steps=300, polish_rounds=3, polish_dirs=16)
+    _add_fair_flags(p, FairConfig())
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_explain)
 
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="audit the penalized explainer instead of vanilla")
     p.add_argument("--perturbations", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    _add_fair_flags(p, restarts=5, steps=300, polish_rounds=3, polish_dirs=16)
+    _add_fair_flags(p, FairConfig())
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_audit)
 
@@ -170,12 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default=None, dest="format",
                    choices=("json", "csv", "svg-lines"),
                    help="override the format inferred from --out")
-    p.add_argument("--lambda2", type=float, default=5.0)
+    p.add_argument("--lambda2", type=float, default=sweep_fair_config().lambda2)
     p.add_argument("--max-points", type=int, default=200,
                    help="fixed evenly spaced subsample size (default 200)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for optimizer restart noise")
-    _add_fair_flags(p, restarts=2, steps=120, polish_rounds=1, polish_dirs=0)
+    _add_fair_flags(p, sweep_fair_config())
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturbations", type=int, default=5000)
     p.add_argument("--x0-shift", type=float, default=2.0)
     p.add_argument("--noise-std", type=float, default=0.25)
-    p.add_argument("--lambda1", type=float, default=0.01)
+    p.add_argument("--lambda1", type=float, default=ExplainConfig().lambda1)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--width", type=float, default=None)
     _add_oracle_flags(p)

@@ -79,26 +79,6 @@ class FairConfig:
             raise ValueError("polish_dirs must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PsiBreakdown:
-    """Parity readings of black box and surrogate over one neighborhood."""
-
-    dp_blackbox: float
-    dp_surrogate_hard: float
-    dp_surrogate_smooth: float
-    psi_hard: float
-    psi_smooth: float
-
-    def as_dict(self) -> dict:
-        return {
-            "dp_blackbox": self.dp_blackbox,
-            "dp_surrogate_hard": self.dp_surrogate_hard,
-            "dp_surrogate_smooth": self.dp_surrogate_smooth,
-            "psi_hard": self.psi_hard,
-            "psi_smooth": self.psi_smooth,
-        }
-
-
 class _FairProblem:
     """Fidelity plus parity penalty on a fixed active set.
 
@@ -132,7 +112,12 @@ class _FairProblem:
         return float(np.sum(self.wn * r * r))
 
     def hard_dp(self, scores: np.ndarray) -> float:
-        return float(np.sum(self.gsign * (scores >= 0.5)))
+        """Group 1's positive rate minus group 0's, each a count over the
+        group size: bit for bit what metrics.demographic_parity returns
+        for the thresholded scores."""
+        positive = scores >= 0.5
+        return (np.count_nonzero(positive & self.mask1) / self.n1
+                - np.count_nonzero(positive & self.mask0) / self.n0)
 
     def smooth_dp(self, scores: np.ndarray) -> float:
         return float(np.sum(self.gsign * expit((scores - 0.5) / self.tau)))
@@ -159,27 +144,6 @@ class _FairProblem:
         slope = -np.sign(gap) * self.gsign * s * (1.0 - s) / self.tau
         grad += self.lambda2 * np.concatenate([[np.sum(slope)], self.cols.T @ slope])
         return grad
-
-
-def psi(explanation, nb: Neighborhood, tau: float = 0.05) -> PsiBreakdown:
-    """Parity-preservation gap of a surrogate over its neighborhood.
-
-    Raises MetricUndefinedError when the neighborhood lacks one of the
-    groups; the gap is never silently reported as zero.
-    """
-    if tau <= 0.0:
-        raise DataError("tau must be positive")
-    problem = _FairProblem(nb, range(nb.n_features), 0.0, tau)
-    scores = np.asarray(explanation.predict_score(nb.samples), dtype=float)
-    dp_hard = problem.hard_dp(scores)
-    dp_smooth = problem.smooth_dp(scores)
-    return PsiBreakdown(
-        dp_blackbox=problem.dp_blackbox,
-        dp_surrogate_hard=dp_hard,
-        dp_surrogate_smooth=dp_smooth,
-        psi_hard=abs(problem.dp_blackbox - dp_hard),
-        psi_smooth=abs(problem.dp_blackbox - dp_smooth),
-    )
 
 
 def smoothed_objective(beta, nb: Neighborhood, active, lambda2: float,
@@ -291,10 +255,9 @@ def _candidate_parity(problem: _FairProblem, base: np.ndarray,
     group's positive count inside every gap between consecutive
     distinct breakpoints and at every breakpoint value. A neighbour
     lies in the gap next to its breakpoint unless it is a breakpoint
-    itself; searchsorted places the current point and the vertex. The
-    parities are scattered back to candidate order, and each is summed
-    as group 1's term plus group 0's, in the same floating-point
-    operations as one group at a time.
+    itself; searchsorted places the current point and the vertex. Each
+    parity is group 1's count over n1 minus group 0's over n0, as in
+    _FairProblem.hard_dp, scattered back to candidate order.
     """
     m = np.count_nonzero(moving)
     brk = ts[1:1 + m]
@@ -319,19 +282,20 @@ def _candidate_parity(problem: _FairProblem, base: np.ndarray,
     falling = sorted_slope < 0.0
     in1 = problem.mask1[moving][order]
     still_positive = ~moving & (base >= 0.5)
-    # dp_gap[k]: parity at t strictly inside gap k, between sorted
-    # positions k - 1 and k; dp_on: at t with lo breakpoints below it
-    # and hi at or below it.
-    dp_gap = dp_on = 0.0
-    for sub, mask, scale in ((in1, problem.mask1, 1.0 / problem.n1),
-                             (~in1, problem.mask0, -1.0 / problem.n0)):
+    # gap[k]: a group's positive count at t strictly inside gap k,
+    # between sorted positions k - 1 and k; on: at t with lo
+    # breakpoints below it and hi at or below it.
+    gap, on = [], []
+    for sub, mask in ((in1, problem.mask1), (~in1, problem.mask0)):
         up = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(rising & sub, out=up[1:])
         down = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(falling & sub, out=down[1:])
         offset = np.count_nonzero(mask & still_positive) + down[-1]
-        dp_gap = dp_gap + scale * (offset + up - down)
-        dp_on = dp_on + scale * (offset + up[hi] - down[lo])
+        gap.append(offset + up - down)
+        on.append(offset + up[hi] - down[lo])
+    dp_gap = gap[0] / problem.n1 - gap[1] / problem.n0
+    dp_on = on[0] / problem.n1 - on[1] / problem.n0
     nxt = np.minimum(hi[:m], m - 1)
     dp_above = np.where(sorted_brk[nxt] == ts[1 + m:1 + 2 * m][order],
                         dp_on[nxt], dp_gap[hi[:m]])
@@ -424,11 +388,11 @@ class FairExplanation(Explanation):
 
 
 def _assemble(problem: _FairProblem, nb: Neighborhood, active, beta: np.ndarray,
-              v_beta: np.ndarray, cfg: ExplainConfig,
+              psi_vanilla: float, cfg: ExplainConfig,
               fair: FairConfig) -> FairExplanation:
     """The explanation with parameters ``beta`` on ``problem``, whose
-    plain (vanilla) start is ``v_beta``; every FairExplanation is built
-    here."""
+    plain (vanilla) fit has hard parity gap ``psi_vanilla``; every
+    FairExplanation is built here."""
     scores = problem.scores(beta)
     loss = problem.loss(scores)
     dp_hard = problem.hard_dp(scores)
@@ -459,18 +423,18 @@ def _assemble(problem: _FairProblem, nb: Neighborhood, active, beta: np.ndarray,
         dp_surrogate_smooth=dp_smooth,
         psi_smooth=psi_smooth,
         objective_smooth=loss + penalty + fair.lambda2 * psi_smooth,
-        psi_vanilla=abs(problem.dp_blackbox
-                        - problem.hard_dp(problem.scores(v_beta))),
+        psi_vanilla=psi_vanilla,
     )
 
 
 def _vanilla_start(nb: Neighborhood, cfg: ExplainConfig):
-    """The plain surrogate's active set and its parameters
-    [intercept, weights over the active set]."""
+    """The plain surrogate's active set, its parameters [intercept,
+    weights over the active set] and its hard parity gap."""
     vanilla = explain_neighborhood(nb, cfg)
     active = vanilla.active
-    return active, np.concatenate([[vanilla.intercept],
-                                   vanilla.coefficients[list(active)]])
+    v_beta = np.concatenate([[vanilla.intercept],
+                             vanilla.coefficients[list(active)]])
+    return active, v_beta, vanilla.psi_hard
 
 
 def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
@@ -491,10 +455,10 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
     the smooth value would discard exactly the solutions the penalty
     is after.
     """
-    active, v_beta = _vanilla_start(nb, cfg)
+    active, v_beta, psi_vanilla = _vanilla_start(nb, cfg)
     problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
     if fair.lambda2 == 0.0:
-        return _assemble(problem, nb, active, v_beta, v_beta, cfg, fair)
+        return _assemble(problem, nb, active, v_beta, psi_vanilla, cfg, fair)
     rng = np.random.default_rng(fair.seed)
     design = np.column_stack([np.ones(problem.cols.shape[0]), problem.cols])
     starts = [v_beta]
@@ -513,7 +477,7 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
                     fair.polish_dirs, (fair.seed, _POLISH_STREAM, i))
         )
     pick = min(candidates, key=problem.hard_value)
-    return _assemble(problem, nb, active, pick, v_beta, cfg, fair)
+    return _assemble(problem, nb, active, pick, psi_vanilla, cfg, fair)
 
 
 def fair_lime_explain(f, x, stats, kc: KernelConfig, cfg: ExplainConfig,
@@ -589,20 +553,18 @@ class GridSpec:
         k = np.arange(self.weight_steps + 1)
         return self.weight_low + span * (k / self.weight_steps)
 
-    def refine(self) -> "GridSpec":
-        """Halve the resolution; the new axes contain the old points."""
-        return GridSpec(
-            intercept_low=self.intercept_low,
-            intercept_high=self.intercept_high,
-            weight_low=self.weight_low,
-            weight_high=self.weight_high,
-            intercept_steps=2 * self.intercept_steps,
-            weight_steps=2 * self.weight_steps,
-        )
-
 
 # Weight combinations scored per block of the grid scan.
 _GRID_CHUNK = 4096
+
+
+def _positives_over_intercepts(b_axis: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Entry [j, k]: how many rows of ``u`` (one column per weight
+    combination) are at most ``b_axis[j]`` in column k."""
+    n_axis, c = b_axis.shape[0], u.shape[1]
+    flat = np.searchsorted(b_axis, u) * c + np.arange(c)[None, :]
+    counts = np.bincount(flat.ravel(), minlength=(n_axis + 1) * c)
+    return np.cumsum(counts.reshape(n_axis + 1, c)[:n_axis], axis=0)
 
 
 def _grid_minimum(problem: _FairProblem, grid: GridSpec) -> np.ndarray:
@@ -617,8 +579,6 @@ def _grid_minimum(problem: _FairProblem, grid: GridSpec) -> np.ndarray:
     else:
         a, b = np.meshgrid(w_axis, w_axis, indexing="ij")
         combos = np.column_stack([a.ravel(), b.ravel()])
-    n_axis = b_axis.shape[0]
-    inv1, inv0 = 1.0 / problem.n1, 1.0 / problem.n0
     best_key = None
     best_beta = None
     for lo in range(0, combos.shape[0], _GRID_CHUNK):
@@ -631,16 +591,11 @@ def _grid_minimum(problem: _FairProblem, grid: GridSpec) -> np.ndarray:
         fidelity = (b_axis * b_axis)[:, None] + 2.0 * np.outer(b_axis, m1) + m2
         # A sample scores at least 0.5 once the intercept reaches
         # 0.5 - w . x, so per-group positive counts over the intercept
-        # axis are cumulative histograms of those thresholds.
+        # axis are cumulative histograms of those thresholds. The
+        # subtraction is in place to keep the scan's peak memory down.
         u = 0.5 - z
-        dp = np.zeros((n_axis, c))
-        for mask, scale in ((problem.mask1, inv1), (problem.mask0, -inv0)):
-            pos = np.searchsorted(b_axis, u[mask])
-            flat = pos * c + np.arange(c)[None, :]
-            counts = np.bincount(
-                flat.ravel(), minlength=(n_axis + 1) * c
-            ).reshape(n_axis + 1, c)
-            dp += scale * np.cumsum(counts[:n_axis], axis=0)
+        dp = _positives_over_intercepts(b_axis, u[problem.mask1]) / problem.n1
+        dp -= _positives_over_intercepts(b_axis, u[problem.mask0]) / problem.n0
         values = fidelity + problem.lambda2 * np.abs(problem.dp_blackbox - dp)
         low = float(values.min())
         if best_key is not None and low > best_key[0]:
@@ -667,11 +622,11 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
     """
     if grid is None:
         grid = GridSpec()
-    active, v_beta = _vanilla_start(nb, cfg)
+    active, _, psi_vanilla = _vanilla_start(nb, cfg)
     if len(active) > 2:
         raise DataError(
             f"grid oracle supports at most 2 active features, got {len(active)}"
         )
     problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
-    return _assemble(problem, nb, active, _grid_minimum(problem, grid), v_beta,
-                     cfg, fair)
+    return _assemble(problem, nb, active, _grid_minimum(problem, grid),
+                     psi_vanilla, cfg, fair)

@@ -68,11 +68,12 @@ def _seed_json(seed):
 class Explanation:
     """A fitted sparse linear surrogate with its objective breakdown.
 
-    ``coefficients`` is full-width with exact zeros off the active set,
-    so ``intercept + samples @ coefficients`` scores any matrix.
-    ``active`` records the selection order. ``psi_hard`` is None when
-    the fitting neighborhood lacked one of the groups (the parity gap is
-    undefined there, never silently zero).
+    ``coefficients`` is full-width with exact zeros off the active set.
+    ``active`` records the selection order; ``predict_score`` takes the
+    active columns in that order, the same matrix product the fit
+    scored, so an explanation predicts exactly what its fit counted.
+    ``psi_hard`` is None when the fitting neighborhood lacked one of the
+    groups (the parity gap is undefined there, never silently zero).
     """
 
     feature_names: tuple[str, ...]
@@ -102,8 +103,11 @@ class Explanation:
             raise DataError("coefficient or center width does not match names")
 
     def predict_score(self, X: np.ndarray) -> np.ndarray:
+        """``intercept + X[:, active] @ coefficients[active]``, with
+        ``active`` in selection order."""
+        active = list(self.active)
         X = np.asarray(X, dtype=float)
-        return self.intercept + X @ self.coefficients
+        return self.intercept + X[:, active] @ self.coefficients[active]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Hard labels: score at or above 0.5 predicts 1."""

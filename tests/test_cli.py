@@ -8,7 +8,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fairlime import ThresholdOracle, cli, load_csv
+from fairlime import (ExplainConfig, FairConfig, ThresholdOracle, cli,
+                      load_csv, sweep_fair_config)
 from fairlime.cli import main
 
 from conftest import OneNaNScore
@@ -246,6 +247,19 @@ def test_sweep_is_byte_reproducible(data_csv, tmp_path):
         assert main(sweep_args(data_csv, p)) == 0
     a, b = (open(p, "rb").read() for p in paths)
     assert a == b
+
+
+@pytest.mark.parametrize("command, extra, expected", [
+    ("explain", ["--row", "0"], FairConfig()),
+    ("sweep", ["--counts", "100", "--seeds", "1"], sweep_fair_config()),
+])
+def test_default_flags_build_the_library_default_configs(command, extra,
+                                                         expected):
+    args = cli.build_parser().parse_args(
+        [command, "--data", "d.csv", "--model", "oracle", "--out", "o.json",
+         *extra])
+    assert cli._fair_config(args, args.lambda2) == expected
+    assert args.lambda1 == ExplainConfig().lambda1
 
 
 def test_boundary_reports_the_majority_pull(tmp_path):

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -15,13 +15,14 @@ from fairlime import (DataError, ExplainConfig, FairConfig, GridSpec,
                       OptimizationError, SyntheticConfig, TabularDataset,
                       ThresholdOracle, demographic_parity,
                       explain_neighborhood, fair_explain_neighborhood,
-                      fair_lime_explain, feature_stats, generate_synthetic,
-                      grid_search_oracle, lime_explain,
+                      fair_lime_explain, fairness_mismatch, feature_stats,
+                      generate_synthetic, grid_search_oracle, lime_explain,
                       sample_two_group_neighborhood, smoothed_objective,
                       smoothed_objective_gradient)
 from fairlime import objective
+from fairlime.metrics import DEMOGRAPHIC_PARITY
 from fairlime.objective import (POLISH_CANDIDATE_BOUND, _FairProblem, _descend,
-                                _line_minimum, psi)
+                                _line_minimum)
 
 from conftest import hand_explanation, hand_neighborhood
 
@@ -51,14 +52,20 @@ def psi_hand_neighborhood():
     return hand_neighborhood(samples, f_scores)
 
 
+def parity_mismatch(e, nb):
+    """The demographic-parity audit of ``e`` over its neighborhood."""
+    return fairness_mismatch(DEMOGRAPHIC_PARITY, nb.f_preds,
+                             e.predict(nb.samples), nb.groups)
+
+
 def test_psi_hand_case():
     nb = psi_hand_neighborhood()
     e = hand_explanation(0.7, np.zeros(2))
-    breakdown = psi(e, nb)
-    assert breakdown.dp_blackbox == -0.5
-    assert breakdown.dp_surrogate_hard == 0.0
-    assert breakdown.psi_hard == 0.5
-    assert json.dumps(breakdown.as_dict())
+    report = parity_mismatch(e, nb)
+    assert report.m_blackbox == -0.5
+    assert report.m_surrogate == 0.0
+    assert report.mismatch == 0.5
+    assert json.dumps(report.as_dict())
 
 
 def test_psi_zero_when_surrogate_matches_predictions():
@@ -67,27 +74,22 @@ def test_psi_zero_when_surrogate_matches_predictions():
     f_scores = np.array([0.9, 0.8, 0.7, 0.6])
     nb = hand_neighborhood(samples, f_scores)
     e = hand_explanation(0.7, np.zeros(2))
-    assert psi(e, nb).psi_hard == 0.0
+    assert parity_mismatch(e, nb).mismatch == 0.0
 
 
 def test_psi_smooth_saturates_at_tiny_tau():
-    nb = psi_hand_neighborhood()
+    problem = _FairProblem(psi_hand_neighborhood(), (0, 1), 0.0, 1e-6)
     # Surrogate scores equal the x column: 0.7, 0.55, 0.3, 0.45, all at
     # least 0.05 away from the threshold.
-    e = hand_explanation(0.0, np.array([0.0, 1.0]))
-    breakdown = psi(e, nb, tau=1e-6)
-    assert abs(breakdown.psi_smooth - breakdown.psi_hard) < 1e-6
+    scores = problem.scores(np.array([0.0, 0.0, 1.0]))
+    assert abs(problem.smooth_dp(scores) - problem.hard_dp(scores)) < 1e-6
 
 
 def test_psi_validation():
-    nb = psi_hand_neighborhood()
-    e = hand_explanation(0.7, np.zeros(2))
-    with pytest.raises(DataError, match="positive"):
-        psi(e, nb, tau=0.0)
     single = hand_neighborhood(np.column_stack([np.ones(4), np.zeros(4)]),
                                np.full(4, 0.9))
     with pytest.raises(MetricUndefinedError):
-        psi(e, single)
+        fair_explain_neighborhood(single, ExplainConfig(), FairConfig())
 
 
 def test_fair_config_validation():
@@ -184,6 +186,7 @@ def test_lambda2_zero_end_to_end_matches_lime():
                              FairConfig(lambda2=0.0, seed=0), seed=7)
     assert fair.intercept == plain.intercept
     assert np.array_equal(fair.coefficients, plain.coefficients)
+    assert fair.psi_hard == plain.psi_hard
 
 
 def test_fair_fit_never_loses_to_plain_on_hard_objective():
@@ -195,7 +198,7 @@ def test_fair_fit_never_loses_to_plain_on_hard_objective():
         plain = explain_neighborhood(nb, cfg)
         fair = fair_explain_neighborhood(nb, cfg, fair_cfg)
         plain_hard = (plain.loss + cfg.lambda1 * len(plain.active)
-                      + fair_cfg.lambda2 * psi(plain, nb).psi_hard)
+                      + fair_cfg.lambda2 * plain.psi_hard)
         assert fair.objective <= plain_hard + 1e-12
 
 
@@ -218,7 +221,7 @@ def test_fair_objective_prices_the_hard_gap():
                           polish_rounds=1, polish_dirs=0, seed=0)
     e = fair_explain_neighborhood(nb, cfg, fair_cfg)
     assert e.objective == e.loss + 0.03 * len(e.active) + 2.0 * e.psi_hard
-    assert psi(e, nb, tau=fair_cfg.tau).psi_hard == e.psi_hard
+    assert parity_mismatch(e, nb).mismatch == e.psi_hard
 
 
 def test_fair_explanation_serializes_with_penalty_fields():
@@ -300,6 +303,12 @@ def test_oracle_never_beats_solver_by_more_than_grid_slack():
     assert oracle.objective <= solver.objective + 0.02
 
 
+def doubled(grid):
+    """``grid`` at twice the step counts over the same spans."""
+    return dataclasses.replace(grid, intercept_steps=2 * grid.intercept_steps,
+                               weight_steps=2 * grid.weight_steps)
+
+
 def test_oracle_refinement_never_increases_the_optimum():
     nb = two_feature_neighborhood()
     cfg = ExplainConfig()
@@ -307,7 +316,7 @@ def test_oracle_refinement_never_increases_the_optimum():
     grid = GridSpec(intercept_low=-2.0, intercept_high=2.0, weight_low=-1.0,
                     weight_high=1.0, intercept_steps=100, weight_steps=50)
     coarse = grid_search_oracle(nb, cfg, fair, grid=grid)
-    fine = grid_search_oracle(nb, cfg, fair, grid=grid.refine())
+    fine = grid_search_oracle(nb, cfg, fair, grid=doubled(grid))
     assert fine.objective <= coarse.objective
 
 
@@ -320,7 +329,7 @@ def test_oracle_rejects_wide_active_sets():
 def test_grid_spec_refine_is_a_bitwise_superset():
     grid = GridSpec(intercept_low=-1.3, intercept_high=2.1, weight_low=-0.7,
                     weight_high=0.9, intercept_steps=37, weight_steps=23)
-    fine = grid.refine()
+    fine = doubled(grid)
     assert np.all(np.isin(grid.intercept_axis(), fine.intercept_axis()))
     assert np.all(np.isin(grid.weight_axis(), fine.weight_axis()))
 
@@ -352,16 +361,15 @@ def _line_minimum_reference(problem, design, beta, direction):
     ts = np.concatenate(pool)
     ts = ts[np.isfinite(ts) & (np.abs(ts) <= POLISH_CANDIDATE_BOUND)]
     fidelity = q2 * ts * ts + 2.0 * q1 * ts + q0
-    dp = np.zeros_like(ts)
-    for mask, scale in ((problem.mask1, 1.0 / problem.n1),
-                        (problem.mask0, -1.0 / problem.n0)):
+    counts = []
+    for mask in (problem.mask1, problem.mask0):
         sub = mask[moving]
         fixed = np.count_nonzero(mask & ~moving & (base >= 0.5))
         up = np.sort(brk[(slope[moving] > 0.0) & sub])
         down = np.sort(brk[(slope[moving] < 0.0) & sub])
-        count = (fixed + np.searchsorted(up, ts, side="right")
-                 + down.size - np.searchsorted(down, ts, side="left"))
-        dp += scale * count
+        counts.append(fixed + np.searchsorted(up, ts, side="right")
+                      + down.size - np.searchsorted(down, ts, side="left"))
+    dp = counts[0] / problem.n1 - counts[1] / problem.n0
     values = fidelity + problem.lambda2 * np.abs(problem.dp_blackbox - dp)
     return float(ts[int(np.argmin(values))])
 
@@ -530,6 +538,9 @@ def test_property_lambda2_zero_is_the_plain_fit_bit_for_bit(case):
     assert off.loss.hex() == plain.loss.hex()
     assert off.objective.hex() == plain.objective.hex()
     assert off.objective_smooth.hex() == plain.objective.hex()
+    assert off.psi_hard.hex() == plain.psi_hard.hex()
+    plain_dp = demographic_parity(plain.predict(nb.samples), nb.groups)
+    assert off.dp_surrogate_hard.hex() == plain_dp.hex()
 
 
 @settings(max_examples=40, deadline=None)
@@ -547,7 +558,7 @@ def test_property_psi_vanilla_is_the_psi_of_the_penalty_off_fit(case):
 def test_property_fit_never_loses_to_the_plain_hard_objective(case):
     nb, cfg, fair = case
     plain = explain_neighborhood(nb, cfg)
-    plain_hard = plain.objective + fair.lambda2 * psi(plain, nb).psi_hard
+    plain_hard = plain.objective + fair.lambda2 * plain.psi_hard
     fit = fair_explain_neighborhood(nb, cfg, fair)
     assert fit.objective <= plain_hard + 1e-12
 
@@ -561,3 +572,37 @@ def test_property_doubling_kernel_weights_leaves_the_fit_bit_identical(case):
     b = fair_explain_neighborhood(doubled, cfg, fair)
     assert json.dumps(a.as_dict()) == json.dumps(b.as_dict())
     assert a.psi_vanilla.hex() == b.psi_vanilla.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_cases())
+def test_property_reported_psi_is_the_parity_audit_of_the_explanation(case):
+    nb, cfg, fair = case
+    fit = fair_explain_neighborhood(nb, cfg, fair)
+    report = parity_mismatch(fit, nb)
+    assert report.mismatch.hex() == fit.psi_hard.hex()
+    assert report.m_surrogate.hex() == fit.dp_surrogate_hard.hex()
+    assert report.m_blackbox.hex() == fit.dp_blackbox.hex()
+    assert fit.psi_vanilla.hex() == explain_neighborhood(nb, cfg).psi_hard.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_cases())
+def test_property_swapping_group_labels_leaves_psi_unchanged(case):
+    nb, cfg, fair = case
+    samples = np.array(nb.samples)
+    samples[:, nb.group_col] = 1.0 - samples[:, nb.group_col]
+    swapped = dataclasses.replace(nb, samples=samples, center=samples[0])
+    plain = explain_neighborhood(nb, cfg)
+    # Swapping moves the fit's scores by rounding; away from the
+    # threshold that cannot flip a predicted label.
+    assume(np.min(np.abs(plain.predict_score(nb.samples) - 0.5)) > 1e-9)
+    plain_swapped = explain_neighborhood(swapped, cfg)
+    assert plain_swapped.psi_hard.hex() == plain.psi_hard.hex()
+    # The penalized fit itself is not compared: its restart noise acts
+    # in a different basis once the group column is flipped.
+    fit = fair_explain_neighborhood(nb, cfg, fair)
+    fit_swapped = fair_explain_neighborhood(swapped, cfg, fair)
+    assert fit_swapped.psi_vanilla.hex() == fit.psi_vanilla.hex()
+    # Exact negation; == because a zero gap stays +0.0.
+    assert fit_swapped.dp_blackbox == -fit.dp_blackbox
