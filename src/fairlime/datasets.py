@@ -262,12 +262,15 @@ def load_csv(path, group_col_name: str, label_col_name: str | None = None) -> Ta
 
 
 def write_csv(ds: TabularDataset, path) -> None:
-    """Write the full matrix back out; round-trips exactly through repr."""
+    """Write the full matrix back out; round-trips exactly through repr.
+
+    The body is joined by hand: a float's repr never needs CSV quoting,
+    so the bytes are csv.writer's, at a fraction of its cost per cell.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.feature_names)
-        for row in ds.rows:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(ds.feature_names)
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in ds.rows.tolist())
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> TabularDataset:

@@ -21,8 +21,9 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, OptimizationError
-from .metrics import demographic_parity
 from .neighborhood import KernelConfig, Neighborhood, sample_two_group_neighborhood
+from .oracle import (_GRID_CHUNK, PenalizedProblem, block_moments, cell_values,
+                     lattice_minimum, offer, weight_combinations)
 from .surrogate import ExplainConfig, Explanation, explain_neighborhood
 
 ARMIJO_C1 = 1e-4
@@ -79,29 +80,19 @@ class FairConfig:
             raise ValueError("polish_dirs must be nonnegative")
 
 
-class _FairProblem:
+class _FairProblem(PenalizedProblem):
     """Fidelity plus parity penalty on a fixed active set.
 
     The parameter vector is beta = [intercept, weights over the active
-    columns]. Kernel weights are normalized once, so the fidelity term
-    is invariant under rescaling them. The complexity term is constant
-    on a fixed active set and therefore omitted here; callers add
-    lambda1 * |active| when reporting objectives.
+    columns]. The complexity term is constant on a fixed active set and
+    therefore omitted here; callers add lambda1 * |active| when
+    reporting objectives.
     """
 
     def __init__(self, nb: Neighborhood, active, lambda2: float, tau: float):
-        self.cols = nb.samples[:, list(active)]
-        self.targets = nb.f_scores
-        self.wn = nb.weights / np.sum(nb.weights)
-        groups = nb.groups
-        self.mask1 = groups == 1.0
-        self.mask0 = ~self.mask1
-        self.n1 = int(np.count_nonzero(self.mask1))
-        self.n0 = int(np.count_nonzero(self.mask0))
-        self.dp_blackbox = demographic_parity(nb.f_preds, groups)
+        super().__init__(nb, active, lambda2)
         # Signed per-sample contribution to the group rate difference.
         self.gsign = np.where(self.mask1, 1.0 / self.n1, -1.0 / self.n0)
-        self.lambda2 = lambda2
         self.tau = tau
 
     def scores(self, beta: np.ndarray) -> np.ndarray:
@@ -554,76 +545,35 @@ class GridSpec:
         return self.weight_low + span * (k / self.weight_steps)
 
 
-# Weight combinations scored per block of the grid scan.
-_GRID_CHUNK = 4096
-
-
-def _positives_over_intercepts(b_axis: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Entry [j, k]: how many rows of ``u`` (one column per weight
-    combination) are at most ``b_axis[j]`` in column k."""
-    n_axis, c = b_axis.shape[0], u.shape[1]
-    flat = np.searchsorted(b_axis, u) * c + np.arange(c)[None, :]
-    counts = np.bincount(flat.ravel(), minlength=(n_axis + 1) * c)
-    positives = counts.reshape(n_axis + 1, c)[:n_axis]
-    # Row by row in place: numpy's cumsum along axis 0 of this matrix is
-    # about nine times slower.
-    for j in range(1, n_axis):
-        np.add(positives[j - 1], positives[j], out=positives[j])
-    return positives
-
-
 def _grid_minimum(problem: _FairProblem, grid: GridSpec) -> np.ndarray:
     """The grid point [intercept, weights] with the lowest hard objective
-    on ``problem``, which has one or two columns. Ties break toward the
-    smallest weight max-norm, then lexicographically over (intercept,
-    weights)."""
+    on ``problem``, which has one or two columns, found by scoring every
+    cell. Ties break toward the smallest weight max-norm, then
+    lexicographically over (intercept, weights)."""
     b_axis = grid.intercept_axis()
-    w_axis = grid.weight_axis()
-    if problem.cols.shape[1] == 1:
-        combos = w_axis[:, None]
-    else:
-        a, b = np.meshgrid(w_axis, w_axis, indexing="ij")
-        combos = np.column_stack([a.ravel(), b.ravel()])
-    best_key = None
-    best_beta = None
+    combos = weight_combinations(grid.weight_axis(), problem.cols.shape[1])
+    best = None
     for lo in range(0, combos.shape[0], _GRID_CHUNK):
         w_chunk = combos[lo:lo + _GRID_CHUNK]
-        c = w_chunk.shape[0]
         z = problem.cols @ w_chunk.T
-        d = z - problem.targets[:, None]
-        m1 = problem.wn @ d
-        m2 = problem.wn @ (d * d)
-        fidelity = (b_axis * b_axis)[:, None] + 2.0 * np.outer(b_axis, m1) + m2
-        # A sample scores at least 0.5 once the intercept reaches
-        # 0.5 - w . x, so per-group positive counts over the intercept
-        # axis are cumulative histograms of those thresholds. The
-        # subtraction is in place to keep the scan's peak memory down.
-        u = 0.5 - z
-        dp = _positives_over_intercepts(b_axis, u[problem.mask1]) / problem.n1
-        dp -= _positives_over_intercepts(b_axis, u[problem.mask0]) / problem.n0
-        values = fidelity + problem.lambda2 * np.abs(problem.dp_blackbox - dp)
-        low = float(values.min())
-        if best_key is not None and low > best_key[0]:
-            continue
-        for j, cc in zip(*np.nonzero(values == low)):
-            w = w_chunk[cc]
-            key = (low, float(np.max(np.abs(w))), float(b_axis[j]),
-                   tuple(float(v) for v in w))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_beta = np.concatenate([[b_axis[j]], w])
-    return best_beta
+        m1, m2 = block_moments(problem, z)
+        best = offer(best, cell_values(problem, b_axis, z, m1, m2), b_axis,
+                     w_chunk)
+    return best[1]
 
 
 def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
                        grid: GridSpec | None = None) -> FairExplanation:
-    """Exhaustive search of the exact hard objective over a grid.
+    """The exact hard objective's optimum over a grid.
 
     The active set is the plain surrogate's greedy selection, capped at
-    two features since the grid is exponential in dimension. Ties break
-    toward the lowest objective, then the smallest weight max-norm,
-    then lexicographically over (intercept, weights). Intended as an
-    independent check on the gradient solver, not for production use.
+    two features since the grid is exponential in dimension. The
+    optimum is exact on the lattice (oracle.lattice_minimum skips only
+    columns whose fidelity bound exceeds a cell already scored). Ties
+    break toward the lowest objective, then the smallest weight
+    max-norm, then lexicographically over (intercept, weights).
+    Intended as an independent check on the gradient solver, not for
+    production use.
     """
     if grid is None:
         grid = GridSpec()
@@ -632,6 +582,7 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
         raise DataError(
             f"grid oracle supports at most 2 active features, got {len(active)}"
         )
+    beta = lattice_minimum(nb, active, fair.lambda2, grid.intercept_axis(),
+                           grid.weight_axis())
     problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
-    return _assemble(problem, nb, active, _grid_minimum(problem, grid),
-                     psi_vanilla, cfg, fair)
+    return _assemble(problem, nb, active, beta, psi_vanilla, cfg, fair)

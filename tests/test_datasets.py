@@ -1,4 +1,5 @@
 """Dataset ingestion, synthesis, statistics, and splitting."""
+import csv
 import math
 from pathlib import Path
 
@@ -110,6 +111,26 @@ def test_write_csv_round_trips_arbitrary_floats(tmp_path):
     write_csv(ds, out)
     again = load_csv(out, "g")
     assert np.array_equal(again.rows, rows)
+
+
+def test_write_csv_bytes_match_csv_writer_over_float_reprs(tmp_path):
+    rows = np.array([
+        [0.0, -0.0, 5e-324, 1e300],
+        [1.0, math.inf, -math.inf, math.nan],
+        [1.0, 3.0, -2.0, 0.1],
+        [0.0, 1e16, -1.5e-7, 123456789.0],
+    ])
+    ds = TabularDataset(("g", 'needs "quotes", and a comma', "c", "d"), rows,
+                        group_col=0)
+    out = tmp_path / "written.csv"
+    write_csv(ds, out)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ds.feature_names)
+        for row in ds.rows:
+            writer.writerow([repr(float(v)) for v in row])
+    assert out.read_bytes() == reference.read_bytes()
 
 
 def test_dataset_validation():

@@ -19,10 +19,11 @@ from fairlime import (DataError, ExplainConfig, FairConfig, GridSpec,
                       generate_synthetic, grid_search_oracle, lime_explain,
                       sample_two_group_neighborhood, smoothed_objective,
                       smoothed_objective_gradient)
-from fairlime import objective
+import fairlime
+from fairlime import objective, oracle
 from fairlime.metrics import DEMOGRAPHIC_PARITY
 from fairlime.objective import (POLISH_CANDIDATE_BOUND, _FairProblem, _descend,
-                                _line_minimum)
+                                _grid_minimum, _line_minimum)
 
 from conftest import hand_explanation, hand_neighborhood
 
@@ -341,6 +342,106 @@ def test_grid_spec_validation():
         GridSpec(weight_low=0.5, weight_high=0.5)
     with pytest.raises(ValueError):
         GridSpec(intercept_steps=0)
+
+
+def test_oracle_names_resolve_from_the_package_and_the_module():
+    assert fairlime.GridSpec is objective.GridSpec
+    assert fairlime.grid_search_oracle is objective.grid_search_oracle
+
+
+_DYADIC_LOWS = (-2.0, -1.5, -1.0, -0.5, 0.0)
+_DYADIC_SPANS = (0.5, 1.0, 2.0, 4.0)
+
+
+@st.composite
+def lattice_cases(draw):
+    """A small hand-built neighborhood over the group column and, for two
+    features, a continuous or a quarter-step column; a logistic or a
+    constant black box; equal or random kernel weights; and a small
+    grid. Dyadic data and grids give exact ties between cells. A
+    two-feature grid of 64 or more weight steps, or a one-feature grid
+    of 4096 or more, exceeds one block, so columns get pruned."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(10, 60))
+    k = draw(st.sampled_from((1, 2)))
+    g = np.zeros(n)
+    g[rng.permutation(n)[:draw(st.integers(1, n - 1))]] = 1.0
+    samples = g[:, None]
+    if k == 2:
+        x = (rng.normal(0.0, 1.0, n) if draw(st.booleans())
+             else rng.integers(-4, 5, n) / 4.0)
+        samples = np.column_stack([g, x])
+    if draw(st.booleans()):
+        f_scores = np.full(n, draw(st.sampled_from((0.25, 0.3, 0.5, 0.75))))
+    else:
+        f_scores = expit(samples @ rng.uniform(-3.0, 3.0, k)
+                         + rng.uniform(-1.0, 1.0))
+    weights = np.ones(n) if draw(st.booleans()) else rng.uniform(0.1, 1.0, n)
+    nb = hand_neighborhood(samples, f_scores, weights=weights)
+    if draw(st.booleans()):
+        i_low, i_span = (draw(st.sampled_from(_DYADIC_LOWS)),
+                         draw(st.sampled_from(_DYADIC_SPANS)))
+        w_low, w_span = (draw(st.sampled_from(_DYADIC_LOWS)),
+                         draw(st.sampled_from(_DYADIC_SPANS)))
+    else:
+        i_low, i_span, w_low, w_span = (draw(st.floats(-2.0, 0.5)),
+                                        draw(st.floats(0.25, 4.0)),
+                                        draw(st.floats(-2.0, 0.5)),
+                                        draw(st.floats(0.25, 4.0)))
+    w_steps = (draw(st.integers(1, 90)) if k == 2
+               else draw(st.sampled_from((1, 40, 4095, 4096, 5000, 8192))))
+    grid = GridSpec(intercept_low=i_low, intercept_high=i_low + i_span,
+                    weight_low=w_low, weight_high=w_low + w_span,
+                    intercept_steps=draw(st.integers(1, 24)),
+                    weight_steps=w_steps)
+    fair = FairConfig(lambda2=draw(st.sampled_from((0.0, 0.5, 5.0, 50.0))))
+    return nb, ExplainConfig(n_features=k), fair, grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_cases())
+def test_property_pruned_oracle_equals_the_exhaustive_scan(case):
+    nb, cfg, fair, grid = case
+    e = grid_search_oracle(nb, cfg, fair, grid=grid)
+    problem = _FairProblem(nb, e.active, fair.lambda2, fair.tau)
+    reference = objective._assemble(problem, nb, e.active,
+                                    _grid_minimum(problem, grid),
+                                    e.psi_vanilla, cfg, fair)
+    assert e.intercept.hex() == reference.intercept.hex()
+    assert e.coefficients.tobytes() == reference.coefficients.tobytes()
+    assert e.objective.hex() == reference.objective.hex()
+    assert e.psi_hard.hex() == reference.psi_hard.hex()
+
+
+@pytest.mark.parametrize("margin", [oracle._PRUNE_MARGIN, 0.0])
+def test_pruned_oracle_scores_a_column_whose_bound_ties_the_incumbent(
+        monkeypatch, margin):
+    # A constant feature x = 1 and dyadic targets make every column's
+    # bound exactly var(f) = 1/32, and so is every cell with b + w equal
+    # to mean(f) = 0.5. Weights are -3 + k / 2048: the first block, k <
+    # 4096, reaches 1/32 at (b, w) = (2, -1.5), and the column w = 0 at
+    # k = 6144 ties it there with a smaller max-norm. With margin 0 only
+    # "bound <= incumbent" keeps that column.
+    nb = hand_neighborhood(np.column_stack([[0.0, 1.0, 0.0, 1.0], np.ones(4)]),
+                           [0.25, 0.75, 0.5, 0.5])
+    grid = GridSpec(intercept_low=0.0, intercept_high=4.0, weight_low=-3.0,
+                    weight_high=1.0, intercept_steps=8, weight_steps=8192)
+    monkeypatch.setattr(oracle, "_PRUNE_MARGIN", margin)
+    beta = oracle.lattice_minimum(nb, (1,), 0.0, grid.intercept_axis(),
+                                  grid.weight_axis())
+    exhaustive = _grid_minimum(_FairProblem(nb, (1,), 0.0, 0.05), grid)
+    assert beta.tolist() == [0.5, 0.0]
+    assert [v.hex() for v in beta] == [v.hex() for v in exhaustive]
+
+
+def test_pruning_keeps_bounds_within_the_rounding_margin():
+    b_axis = np.linspace(-3.0, 3.0, 601)
+    incumbent = 0.03125
+    cutoff = oracle._cutoff(incumbent, b_axis)
+    bounds = np.array([incumbent, incumbent + 1e-12, cutoff,
+                       np.nextafter(cutoff, np.inf), incumbent + 1e-6])
+    kept = oracle._survivors(bounds, incumbent, b_axis)
+    assert kept.tolist() == [True, True, True, False, False]
 
 
 def _line_minimum_reference(problem, design, beta, direction):
