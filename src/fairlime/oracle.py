@@ -13,7 +13,10 @@ the penalty is nonnegative, so m2 - m1^2 bounds every cell of w's
 column from below. ``lattice_minimum`` fully scores the columns with
 the lowest bounds first and then skips every column whose bound exceeds
 the best value found there; it returns the exhaustive scan's optimum,
-bit for bit, after scoring a few percent of the cells.
+bit for bit, after scoring a few percent of the cells. The first
+columns are picked by the same bound taken from the weighted covariance
+of [X, f], so that their products can be kept while every block's
+moments are computed and no block is multiplied twice.
 
 The exhaustive scan that seeds the solver (objective._grid_minimum)
 uses the same cell arithmetic, so both scans compare the same
@@ -162,14 +165,25 @@ def _block_columns(problem: PenalizedProblem, combos: np.ndarray,
 def _score(problem: PenalizedProblem, b_axis: np.ndarray, combos: np.ndarray,
            m1: np.ndarray, m2: np.ndarray, idx: np.ndarray, best):
     """``best`` (as in ``offer``) updated with every cell of the
-    combinations ``idx``."""
-    idx = np.sort(idx)
+    combinations ``idx``, which ascend."""
     for lo in range(0, idx.size, _GRID_CHUNK):
         part = idx[lo:lo + _GRID_CHUNK]
         z = _block_columns(problem, combos, part)
         best = offer(best, cell_values(problem, b_axis, z, m1[part], m2[part]),
                      b_axis, combos[part])
     return best
+
+
+def _covariance_bounds(problem: PenalizedProblem, combos: np.ndarray) -> np.ndarray:
+    """m2 - m1^2 of every combination w, as the weighted variance
+    [w, -1] C [w, -1] with C the weighted covariance of [cols, targets].
+    Equal to the block moments' bounds up to rounding; it only orders
+    the columns, and no cell is skipped on it."""
+    data = np.column_stack([problem.cols, problem.targets])
+    centered = data - problem.wn @ data
+    cov = (centered * problem.wn[:, None]).T @ centered
+    coef = np.column_stack([combos, np.full(combos.shape[0], -1.0)])
+    return np.sum((coef @ cov) * coef, axis=1)
 
 
 def lattice_minimum(nb: Neighborhood, active, lambda2: float,
@@ -179,21 +193,26 @@ def lattice_minimum(nb: Neighborhood, active, lambda2: float,
 
     The lattice is ``b_axis`` by ``w_axis`` per active column. Ties
     break toward the smallest weight max-norm, then lexicographically
-    over (intercept, weights). Exact: the first _GRID_CHUNK columns by
-    lower bound give an incumbent, and of the rest only the columns
-    whose bound could reach it are scored.
+    over (intercept, weights). Exact: the _GRID_CHUNK columns with the
+    lowest covariance bounds give an incumbent, and of the rest only the
+    columns whose block-moment bound could reach it are scored.
     """
     problem = PenalizedProblem(nb, active, lambda2)
     combos = weight_combinations(w_axis, len(active))
+    first = np.sort(np.argsort(_covariance_bounds(problem, combos),
+                               kind="stable")[:_GRID_CHUNK])
     m1 = np.empty(combos.shape[0])
     m2 = np.empty(combos.shape[0])
+    z_first = np.empty((problem.cols.shape[0], first.size))
     for lo in range(0, combos.shape[0], _GRID_CHUNK):
         hi = min(lo + _GRID_CHUNK, combos.shape[0])
-        m1[lo:hi], m2[lo:hi] = block_moments(problem,
-                                             problem.cols @ combos[lo:hi].T)
-    bound = m2 - m1 * m1
-    order = np.argsort(bound, kind="stable")
-    best = _score(problem, b_axis, combos, m1, m2, order[:_GRID_CHUNK], None)
-    rest = order[_GRID_CHUNK:]
-    rest = rest[_survivors(bound[rest], best[0][0], b_axis)]
-    return _score(problem, b_axis, combos, m1, m2, rest, best)[1]
+        z = problem.cols @ combos[lo:hi].T
+        # The first columns of this block, kept from its own product.
+        a, b = np.searchsorted(first, (lo, hi))
+        z_first[:, a:b] = z[:, first[a:b] - lo]
+        m1[lo:hi], m2[lo:hi] = block_moments(problem, z)
+    best = offer(None, cell_values(problem, b_axis, z_first, m1[first],
+                                   m2[first]), b_axis, combos[first])
+    rest = _survivors(m2 - m1 * m1, best[0][0], b_axis)
+    rest[first] = False
+    return _score(problem, b_axis, combos, m1, m2, np.flatnonzero(rest), best)[1]

@@ -444,6 +444,30 @@ def test_pruning_keeps_bounds_within_the_rounding_margin():
     assert kept.tolist() == [True, True, True, False, False]
 
 
+def test_covariance_bounds_match_the_block_moment_bounds():
+    nb = two_feature_neighborhood()
+    problem = oracle.PenalizedProblem(nb, (0, 1), 5.0)
+    combos = oracle.weight_combinations(np.linspace(-1.5, 1.5, 101), 2)
+    m1, m2 = oracle.block_moments(problem, problem.cols @ combos.T)
+    np.testing.assert_allclose(oracle._covariance_bounds(problem, combos),
+                               m2 - m1 * m1, rtol=1e-9, atol=1e-12)
+
+
+def test_pruned_oracle_is_exact_whatever_columns_come_first(monkeypatch):
+    # The covariance bounds only pick the columns scored first; with the
+    # worst columns first the scan still returns the exhaustive optimum.
+    nb = two_feature_neighborhood()
+    grid = GridSpec(intercept_low=-2.0, intercept_high=2.0, weight_low=-1.0,
+                    weight_high=1.0, intercept_steps=40, weight_steps=80)
+    exhaustive = _grid_minimum(_FairProblem(nb, (0, 1), 5.0, 0.05), grid)
+    bounds = oracle._covariance_bounds
+    monkeypatch.setattr(oracle, "_covariance_bounds",
+                        lambda problem, combos: -bounds(problem, combos))
+    beta = oracle.lattice_minimum(nb, (0, 1), 5.0, grid.intercept_axis(),
+                                  grid.weight_axis())
+    assert [v.hex() for v in beta] == [v.hex() for v in exhaustive]
+
+
 def _line_minimum_reference(problem, design, beta, direction):
     """The line search as first written: unsorted candidates, two
     searchsorted passes per group. Kept as the reference that
