@@ -203,8 +203,8 @@ def load_csv(path, group_col_name: str, label_col_name: str | None = None) -> Ta
     """Parse a UTF-8, comma-separated, single-header-row numeric CSV.
 
     Raises DataError naming the offending row and column for non-numeric
-    cells or out-of-range group values; FileNotFoundError for a missing
-    file.
+    or non-finite (nan, inf) cells or out-of-range group values;
+    FileNotFoundError for a missing file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -239,12 +239,18 @@ def load_csv(path, group_col_name: str, label_col_name: str | None = None) -> Ta
             parsed = []
             for j, cell in enumerate(row):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}: non-numeric value {cell.strip()!r} at "
                         f"line {line_no}, column {header[j]!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: non-finite value {cell.strip()!r} at "
+                        f"line {line_no}, column {header[j]!r}"
+                    )
+                parsed.append(value)
             if parsed[group_col] not in (0.0, 1.0):
                 raise DataError(
                     f"{path}: group value {parsed[group_col]} outside "

@@ -78,11 +78,14 @@ class Neighborhood:
         for name in ("distances", "weights", "f_scores", "f_preds"):
             if getattr(self, name).shape != (n,):
                 raise DataError(f"{name} length does not match sample count")
+        for name in ("center", "samples", "distances", "weights", "f_scores"):
+            arr = getattr(self, name)
+            bad = arr.size - int(np.count_nonzero(np.isfinite(arr)))
+            if bad:
+                raise DataError(f"{name} must be finite; {bad} of {arr.size} "
+                                f"values are not")
         if np.any(self.weights <= 0.0):
             raise DataError("sample weights must be strictly positive")
-        if not np.all(np.isfinite(self.f_scores)):
-            bad = int(np.count_nonzero(~np.isfinite(self.f_scores)))
-            raise DataError(f"black-box scores must be finite; {bad} of {n} are not")
         if np.any((self.f_scores < 0.0) | (self.f_scores > 1.0)):
             raise DataError("black-box scores must lie in [0, 1]")
         if not np.array_equal(self.f_preds, (self.f_scores >= 0.5).astype(float)):

@@ -22,8 +22,7 @@ from scipy.special import expit
 
 from .errors import DataError, OptimizationError
 from .neighborhood import KernelConfig, Neighborhood, sample_two_group_neighborhood
-from .oracle import (_GRID_CHUNK, PenalizedProblem, block_moments, cell_values,
-                     lattice_minimum, offer, weight_combinations)
+from .oracle import PenalizedProblem, lattice_minimum
 from .surrogate import ExplainConfig, Explanation, explain_neighborhood
 
 ARMIJO_C1 = 1e-4
@@ -435,11 +434,14 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
     The active set is the plain surrogate's greedy selection. With
     lambda2 = 0 the plain solution is returned verbatim, bit for bit.
     Otherwise multi-restart descent on the smoothed objective runs from
-    the plain solution (restart 0) and noisy copies of it, every
-    descent result plus the plain solution gets an exact line-search
-    polish against the hard objective, and the winner is the candidate
-    with the lowest hard objective. The plain solution is always in
-    the pool, so the fit never loses to it on the reported objective.
+    the plain solution (restart 0) and noisy copies of it; the plain
+    solution, every descent result and, for up to two active features
+    with polish directions, a coarse-lattice seed each get an exact
+    line-search polish against the hard objective, and the winner is
+    the polished point with the lowest hard objective. The polish
+    accepts only strict improvements, so the polished plain solution,
+    and with it the fit, never loses to the plain solution on the
+    reported objective.
     The smooth proxy steers only the descent stage: at the hard
     optimum, scores often sit close to the 0.5 threshold where the
     sigmoid relaxation is far from saturated, so judging candidates by
@@ -461,12 +463,11 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
         starts.append(beta_r)
     if fair.polish_dirs > 0 and len(active) <= 2:
         starts.append(_coarse_scan_seed(problem, v_beta))
-    candidates = list(starts)
-    for i, s in enumerate(starts):
-        candidates.append(
-            _polish(problem, design, s, v_beta, fair.polish_rounds,
-                    fair.polish_dirs, (fair.seed, _POLISH_STREAM, i))
-        )
+    candidates = [
+        _polish(problem, design, s, v_beta, fair.polish_rounds,
+                fair.polish_dirs, (fair.seed, _POLISH_STREAM, i))
+        for i, s in enumerate(starts)
+    ]
     pick = min(candidates, key=problem.hard_value)
     return _assemble(problem, nb, active, pick, psi_vanilla, cfg, fair)
 
@@ -489,9 +490,10 @@ def _coarse_scan_seed(problem: _FairProblem, v_beta: np.ndarray) -> np.ndarray:
 
     Random restarts explore a noise ball around the plain fit; when the
     best parity cell lies elsewhere they all converge short of it. For
-    up to two active features an exhaustive scan of a wide coarse
-    lattice costs a few milliseconds and hands the polish a start in
-    the globally best region, which it then refines exactly.
+    up to two active features the grid oracle's exact scan
+    (oracle.lattice_minimum) of a wide coarse lattice, at most 201
+    points per axis, hands the polish a start in the globally best
+    region, which it then refines exactly.
     """
     i_span = max(2.0, 2.0 * abs(float(v_beta[0])))
     w_span = max(1.5, 2.0 * float(np.max(np.abs(v_beta[1:]), initial=0.0)))
@@ -507,7 +509,7 @@ def _coarse_scan_seed(problem: _FairProblem, v_beta: np.ndarray) -> np.ndarray:
         intercept_steps=i_steps,
         weight_steps=w_steps,
     )
-    return _grid_minimum(problem, grid)
+    return lattice_minimum(problem, grid.intercept_axis(), grid.weight_axis())
 
 
 @dataclass(frozen=True)
@@ -527,6 +529,9 @@ class GridSpec:
     weight_steps: int = 400
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.intercept_low, self.intercept_high,
+                                   self.weight_low, self.weight_high])):
+            raise ValueError("grid bounds must be finite")
         if self.intercept_high <= self.intercept_low:
             raise ValueError("empty intercept range")
         if self.weight_high <= self.weight_low:
@@ -543,23 +548,6 @@ class GridSpec:
         span = self.weight_high - self.weight_low
         k = np.arange(self.weight_steps + 1)
         return self.weight_low + span * (k / self.weight_steps)
-
-
-def _grid_minimum(problem: _FairProblem, grid: GridSpec) -> np.ndarray:
-    """The grid point [intercept, weights] with the lowest hard objective
-    on ``problem``, which has one or two columns, found by scoring every
-    cell. Ties break toward the smallest weight max-norm, then
-    lexicographically over (intercept, weights)."""
-    b_axis = grid.intercept_axis()
-    combos = weight_combinations(grid.weight_axis(), problem.cols.shape[1])
-    best = None
-    for lo in range(0, combos.shape[0], _GRID_CHUNK):
-        w_chunk = combos[lo:lo + _GRID_CHUNK]
-        z = problem.cols @ w_chunk.T
-        m1, m2 = block_moments(problem, z)
-        best = offer(best, cell_values(problem, b_axis, z, m1, m2), b_axis,
-                     w_chunk)
-    return best[1]
 
 
 def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
@@ -582,7 +570,6 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
         raise DataError(
             f"grid oracle supports at most 2 active features, got {len(active)}"
         )
-    beta = lattice_minimum(nb, active, fair.lambda2, grid.intercept_axis(),
-                           grid.weight_axis())
     problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
+    beta = lattice_minimum(problem, grid.intercept_axis(), grid.weight_axis())
     return _assemble(problem, nb, active, beta, psi_vanilla, cfg, fair)

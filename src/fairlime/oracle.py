@@ -12,15 +12,12 @@ Over b the fidelity part is a parabola whose minimum is m2 - m1^2, and
 the penalty is nonnegative, so m2 - m1^2 bounds every cell of w's
 column from below. ``lattice_minimum`` fully scores the columns with
 the lowest bounds first and then skips every column whose bound exceeds
-the best value found there; it returns the exhaustive scan's optimum,
+the best value found there; it returns an exhaustive scan's optimum,
 bit for bit, after scoring a few percent of the cells. The first
 columns are picked by the same bound taken from the weighted covariance
 of [X, f], so that their products can be kept while every block's
-moments are computed and no block is multiplied twice.
-
-The exhaustive scan that seeds the solver (objective._grid_minimum)
-uses the same cell arithmetic, so both scans compare the same
-floating-point values.
+moments are computed and no block is multiplied twice. The solver's
+coarse-lattice seed (objective._coarse_scan_seed) runs the same scan.
 """
 from __future__ import annotations
 
@@ -30,8 +27,8 @@ from .metrics import demographic_parity
 from .neighborhood import Neighborhood
 
 # Weight combinations per block. Every column's products and moments
-# come from its whole block's matrix products, in both scans, so the
-# pruned scan reads the exhaustive scan's values bit for bit.
+# come from its whole block's matrix products, so the pruned scan reads
+# the values an exhaustive block-by-block scan would, bit for bit.
 _GRID_CHUNK = 4096
 
 # Relative slack on the pruning cutoff: a cell's computed value can sit
@@ -186,19 +183,18 @@ def _covariance_bounds(problem: PenalizedProblem, combos: np.ndarray) -> np.ndar
     return np.sum((coef @ cov) * coef, axis=1)
 
 
-def lattice_minimum(nb: Neighborhood, active, lambda2: float,
-                    b_axis: np.ndarray, w_axis: np.ndarray) -> np.ndarray:
+def lattice_minimum(problem: PenalizedProblem, b_axis: np.ndarray,
+                    w_axis: np.ndarray) -> np.ndarray:
     """The lattice point [intercept, weights] with the lowest hard
-    objective over the one or two ``active`` columns of ``nb``.
+    objective on ``problem``, which has one or two columns.
 
-    The lattice is ``b_axis`` by ``w_axis`` per active column. Ties
-    break toward the smallest weight max-norm, then lexicographically
-    over (intercept, weights). Exact: the _GRID_CHUNK columns with the
+    The lattice is ``b_axis`` by ``w_axis`` per column. Ties break
+    toward the smallest weight max-norm, then lexicographically over
+    (intercept, weights). Exact: the _GRID_CHUNK columns with the
     lowest covariance bounds give an incumbent, and of the rest only the
     columns whose block-moment bound could reach it are scored.
     """
-    problem = PenalizedProblem(nb, active, lambda2)
-    combos = weight_combinations(w_axis, len(active))
+    combos = weight_combinations(w_axis, problem.cols.shape[1])
     first = np.sort(np.argsort(_covariance_bounds(problem, combos),
                                kind="stable")[:_GRID_CHUNK])
     m1 = np.empty(combos.shape[0])
@@ -207,9 +203,13 @@ def lattice_minimum(nb: Neighborhood, active, lambda2: float,
     for lo in range(0, combos.shape[0], _GRID_CHUNK):
         hi = min(lo + _GRID_CHUNK, combos.shape[0])
         z = problem.cols @ combos[lo:hi].T
-        # The first columns of this block, kept from its own product.
+        # The first columns of this block, kept from its own product;
+        # when they are exactly this block, without a copy.
         a, b = np.searchsorted(first, (lo, hi))
-        z_first[:, a:b] = z[:, first[a:b] - lo]
+        if b - a == first.size == hi - lo:
+            z_first = z
+        else:
+            z_first[:, a:b] = z[:, first[a:b] - lo]
         m1[lo:hi], m2[lo:hi] = block_moments(problem, z)
     best = offer(None, cell_values(problem, b_axis, z_first, m1[first],
                                    m2[first]), b_axis, combos[first])

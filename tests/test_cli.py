@@ -145,6 +145,21 @@ def test_explain_nan_black_box_scores_are_a_data_error(data_csv, tmp_path,
     assert not out.exists()
 
 
+def test_explain_non_finite_cell_is_a_data_error(data_csv, tmp_path, capsys):
+    rows = open(data_csv, encoding="utf-8").read().splitlines()
+    header = rows[0].split(",")
+    cells = rows[3].split(",")
+    cells[header.index("x0")] = "inf"
+    rows[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "e.json"
+    assert main(explain_args(str(bad), str(out))) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: non-finite value 'inf' at line 4, column 'x0'\n")
+    assert not out.exists()
+
+
 def test_explain_refuses_to_write_nan(data_csv, tmp_path, capsys, monkeypatch):
     fit = cli.fair_explain_neighborhood
     monkeypatch.setattr(cli, "fair_explain_neighborhood",

@@ -65,6 +65,15 @@ def test_load_csv_non_numeric_cell(tmp_path):
         load_csv(path, "g")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " Infinity", "NaN"])
+def test_load_csv_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    write_lines(path, ["g,x0,x1", "0,1.0,2.0", f"1,3.0,{cell}"])
+    with pytest.raises(DataError, match=f"non-finite value '{cell.strip()}' "
+                                        f"at line 3, column 'x1'"):
+        load_csv(path, "g")
+
+
 def test_load_csv_missing_column(tmp_path):
     path = tmp_path / "plain.csv"
     write_lines(path, ["g,x0", "0,1.0"])

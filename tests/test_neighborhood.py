@@ -181,6 +181,22 @@ def test_neighborhood_rejects_non_finite_scores():
             hand_neighborhood(samples, np.array([0.2, bad, 0.8]))
 
 
+@pytest.mark.parametrize("name", ["center", "samples", "distances", "weights"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_neighborhood_rejects_non_finite_inputs(name, bad):
+    fields = dict(center=np.array([0.0, 5.0]),
+                  samples=np.array([[0.0, 5.0], [1.0, 6.0], [1.0, 7.0]]),
+                  distances=np.zeros(3), weights=np.ones(3))
+    fields[name] = fields[name].copy()
+    fields[name].flat[1] = bad
+    scores = np.array([0.2, 0.6, 0.8])
+    with pytest.raises(DataError, match=f"{name} must be finite; 1 of "
+                                        f"{fields[name].size}"):
+        Neighborhood(feature_names=("g", "x"), f_scores=scores,
+                     f_preds=(scores >= 0.5).astype(float), group_col=0,
+                     kernel_width=1.0, **fields)
+
+
 @pytest.mark.parametrize("lambda2", [0.0, 5.0])
 def test_nan_black_box_score_fails_at_sampling(lambda2):
     f = OneNaNScore(oracle())

@@ -23,7 +23,7 @@ import fairlime
 from fairlime import objective, oracle
 from fairlime.metrics import DEMOGRAPHIC_PARITY
 from fairlime.objective import (POLISH_CANDIDATE_BOUND, _FairProblem, _descend,
-                                _grid_minimum, _line_minimum)
+                                _line_minimum)
 
 from conftest import hand_explanation, hand_neighborhood
 
@@ -344,9 +344,35 @@ def test_grid_spec_validation():
         GridSpec(intercept_steps=0)
 
 
+@pytest.mark.parametrize("bound, value", [
+    ("intercept_low", -math.inf), ("intercept_high", math.inf),
+    ("intercept_high", math.nan), ("weight_low", math.nan),
+    ("weight_high", math.inf),
+])
+def test_grid_spec_rejects_non_finite_bounds(bound, value):
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(**{bound: value})
+
+
 def test_oracle_names_resolve_from_the_package_and_the_module():
     assert fairlime.GridSpec is objective.GridSpec
     assert fairlime.grid_search_oracle is objective.grid_search_oracle
+
+
+def _grid_minimum(problem, b_axis, w_axis):
+    """The lattice point [intercept, weights] with the lowest hard
+    objective on ``problem``, found by scoring every cell, block by
+    block. Kept as the exhaustive reference that oracle.lattice_minimum
+    must match bit for bit."""
+    combos = oracle.weight_combinations(w_axis, problem.cols.shape[1])
+    best = None
+    for lo in range(0, combos.shape[0], oracle._GRID_CHUNK):
+        w_chunk = combos[lo:lo + oracle._GRID_CHUNK]
+        z = problem.cols @ w_chunk.T
+        m1, m2 = oracle.block_moments(problem, z)
+        best = oracle.offer(best, oracle.cell_values(problem, b_axis, z, m1, m2),
+                            b_axis, w_chunk)
+    return best[1]
 
 
 _DYADIC_LOWS = (-2.0, -1.5, -1.0, -0.5, 0.0)
@@ -405,7 +431,8 @@ def test_property_pruned_oracle_equals_the_exhaustive_scan(case):
     e = grid_search_oracle(nb, cfg, fair, grid=grid)
     problem = _FairProblem(nb, e.active, fair.lambda2, fair.tau)
     reference = objective._assemble(problem, nb, e.active,
-                                    _grid_minimum(problem, grid),
+                                    _grid_minimum(problem, grid.intercept_axis(),
+                                                  grid.weight_axis()),
                                     e.psi_vanilla, cfg, fair)
     assert e.intercept.hex() == reference.intercept.hex()
     assert e.coefficients.tobytes() == reference.coefficients.tobytes()
@@ -427,9 +454,10 @@ def test_pruned_oracle_scores_a_column_whose_bound_ties_the_incumbent(
     grid = GridSpec(intercept_low=0.0, intercept_high=4.0, weight_low=-3.0,
                     weight_high=1.0, intercept_steps=8, weight_steps=8192)
     monkeypatch.setattr(oracle, "_PRUNE_MARGIN", margin)
-    beta = oracle.lattice_minimum(nb, (1,), 0.0, grid.intercept_axis(),
+    problem = _FairProblem(nb, (1,), 0.0, 0.05)
+    beta = oracle.lattice_minimum(problem, grid.intercept_axis(),
                                   grid.weight_axis())
-    exhaustive = _grid_minimum(_FairProblem(nb, (1,), 0.0, 0.05), grid)
+    exhaustive = _grid_minimum(problem, grid.intercept_axis(), grid.weight_axis())
     assert beta.tolist() == [0.5, 0.0]
     assert [v.hex() for v in beta] == [v.hex() for v in exhaustive]
 
@@ -459,13 +487,78 @@ def test_pruned_oracle_is_exact_whatever_columns_come_first(monkeypatch):
     nb = two_feature_neighborhood()
     grid = GridSpec(intercept_low=-2.0, intercept_high=2.0, weight_low=-1.0,
                     weight_high=1.0, intercept_steps=40, weight_steps=80)
-    exhaustive = _grid_minimum(_FairProblem(nb, (0, 1), 5.0, 0.05), grid)
+    problem = _FairProblem(nb, (0, 1), 5.0, 0.05)
+    exhaustive = _grid_minimum(problem, grid.intercept_axis(), grid.weight_axis())
     bounds = oracle._covariance_bounds
     monkeypatch.setattr(oracle, "_covariance_bounds",
                         lambda problem, combos: -bounds(problem, combos))
-    beta = oracle.lattice_minimum(nb, (0, 1), 5.0, grid.intercept_axis(),
+    beta = oracle.lattice_minimum(problem, grid.intercept_axis(),
                                   grid.weight_axis())
     assert [v.hex() for v in beta] == [v.hex() for v in exhaustive]
+
+
+# Plain fits whose largest weight is 0.4, 0.9 and 2.4: the coarse
+# lattice spans twice that, at least 1.5, so the last two have 73 and
+# 193 weights per axis, more combinations than one block.
+@pytest.mark.parametrize("v_beta", [[0.3, 0.4, -0.1], [-1.2, 0.9, 0.4],
+                                    [0.5, -2.4, 0.1]])
+def test_coarse_seed_scan_equals_the_exhaustive_scan(monkeypatch, v_beta):
+    nb = two_feature_neighborhood(model=LogisticModel(np.array([1.2, -0.4]), 1.0))
+    problem = _FairProblem(nb, (0, 1), 5.0, 0.05)
+    scans, scored = [], []
+    scan, score = oracle.lattice_minimum, oracle._score
+
+    def recording_scan(problem, b_axis, w_axis):
+        scans.append((b_axis, w_axis))
+        return scan(problem, b_axis, w_axis)
+
+    def counting_score(problem, b_axis, combos, m1, m2, idx, best):
+        scored.append((idx.size, combos.shape[0]))
+        return score(problem, b_axis, combos, m1, m2, idx, best)
+
+    monkeypatch.setattr(objective, "lattice_minimum", recording_scan)
+    monkeypatch.setattr(oracle, "_score", counting_score)
+    seed = objective._coarse_scan_seed(problem, np.array(v_beta))
+    (b_axis, w_axis), = scans
+    exhaustive = _grid_minimum(problem, b_axis, w_axis)
+    assert [v.hex() for v in seed] == [v.hex() for v in exhaustive]
+    (rest, combos), = scored
+    if max(abs(w) for w in v_beta[1:]) > 0.75:
+        assert combos > oracle._GRID_CHUNK
+        assert rest < combos - oracle._GRID_CHUNK
+    else:
+        assert combos <= oracle._GRID_CHUNK
+
+
+# A black box that follows the group bit gives a plain group weight near
+# 1, so its coarse lattice holds more combinations than one block.
+@pytest.mark.parametrize("model, n_features, seed, wide", [
+    (None, 2, 3, False),
+    (LogisticModel(np.array([1.2, -0.4]), 1.0), 2, 4, False),
+    (LogisticModel(np.array([8.0, 0.0]), -4.0), 2, 5, True),
+    (LogisticModel(np.array([1.2, -0.4]), 1.0), 1, 6, False),
+])
+def test_fair_fit_is_bit_equal_under_the_exhaustive_seed_scan(
+        monkeypatch, model, n_features, seed, wide):
+    nb = two_feature_neighborhood(seed=seed, model=model)
+    cfg = ExplainConfig(n_features=n_features)
+    fair = FairConfig(lambda2=5.0, restarts=3, steps=150, polish_rounds=2,
+                      polish_dirs=4, seed=seed)
+    fast = fair_explain_neighborhood(nb, cfg, fair)
+    lattices = []
+
+    def reference(problem, b_axis, w_axis):
+        lattices.append(w_axis.size ** problem.cols.shape[1])
+        return _grid_minimum(problem, b_axis, w_axis)
+
+    monkeypatch.setattr(objective, "lattice_minimum", reference)
+    slow = fair_explain_neighborhood(nb, cfg, fair)
+    assert len(lattices) == 1
+    assert (lattices[0] > oracle._GRID_CHUNK) == wide
+    assert fast.intercept.hex() == slow.intercept.hex()
+    assert fast.coefficients.tobytes() == slow.coefficients.tobytes()
+    assert (json.dumps(fast.as_dict(), sort_keys=True)
+            == json.dumps(slow.as_dict(), sort_keys=True))
 
 
 def _line_minimum_reference(problem, design, beta, direction):
