@@ -11,7 +11,6 @@ metric-undefined error; 3 internal numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -237,28 +236,28 @@ def _infer_format(path: str, explicit: str | None) -> str:
 
 
 def _dump_neighborhood(nb: Neighborhood, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(nb.feature_names)
-                        + ["distance", "weight", "f_score", "f_pred"])
-        for i in range(nb.n_samples):
-            cells = [repr(float(v)) for v in nb.samples[i]]
-            cells += [repr(float(nb.distances[i])), repr(float(nb.weights[i])),
-                      repr(float(nb.f_scores[i])), repr(float(nb.f_preds[i]))]
-            writer.writerow(cells)
+    rows = np.column_stack([nb.samples, nb.distances, nb.weights,
+                            nb.f_scores, nb.f_preds])
+    write_csv(TabularDataset(
+        nb.feature_names + ("distance", "weight", "f_score", "f_pred"),
+        rows, group_col=nb.group_col), path)
 
 
-def cmd_synth(args) -> int:
-    cfg = SyntheticConfig(
+def _synthetic_config(args, seed: int) -> SyntheticConfig:
+    """The scenario of the synth and boundary flags."""
+    return SyntheticConfig(
         n_rows=args.n,
         minority_fraction=args.minority_frac,
         boundary_majority=args.boundary_majority,
         boundary_minority=args.boundary_minority,
         x0_group_shift=args.x0_shift,
         noise_std=args.noise_std,
-        seed=args.seed,
+        seed=seed,
     )
-    ds = generate_synthetic(cfg)
+
+
+def cmd_synth(args) -> int:
+    ds = generate_synthetic(_synthetic_config(args, args.seed))
     oracle = ThresholdOracle(
         boundary_majority=args.boundary_majority,
         boundary_minority=args.boundary_minority,
@@ -424,15 +423,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    cfg = SyntheticConfig(
-        n_rows=args.n,
-        minority_fraction=args.minority_frac,
-        boundary_majority=args.boundary_majority,
-        boundary_minority=args.boundary_minority,
-        x0_group_shift=args.x0_shift,
-        noise_std=args.noise_std,
-        seed=0,
-    )
+    cfg = _synthetic_config(args, seed=0)
     kc = KernelConfig(n_samples=args.perturbations, width=args.width)
     explain_cfg = ExplainConfig(n_features=args.k, lambda1=args.lambda1)
     report = run_boundary_experiment(cfg, kc, explain_cfg, range(args.seeds))

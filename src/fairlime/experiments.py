@@ -213,6 +213,8 @@ def sweep_fair_config(lambda2: float = 5.0, seed: int = 0) -> FairConfig:
 def subsample_indices(n_rows: int, max_points: int) -> np.ndarray:
     """Evenly spaced row indices: floor(i * n / m) for i < m; every row
     when the dataset is already within budget."""
+    if max_points < 1:
+        raise DataError("max_points must be at least 1")
     if n_rows <= max_points:
         return np.arange(n_rows)
     return np.floor(np.arange(max_points) * (n_rows / max_points)).astype(int)
@@ -242,8 +244,6 @@ def run_perturbation_sweep(ds: TabularDataset, f, counts, explain_cfg: ExplainCo
         raise DataError("counts must be strictly ascending")
     if not seeds:
         raise DataError("seeds must be nonempty")
-    if max_points < 1:
-        raise DataError("max_points must be at least 1")
     stats = feature_stats(ds)
     X = ds.features
     indices = subsample_indices(ds.n_rows, max_points)

@@ -27,9 +27,6 @@ METRIC_NAMES = (
     PREDICTIVE_PARITY,
 )
 
-# Metrics that condition on ground-truth labels.
-SUPERVISED_METRICS = (EQUALIZED_ODDS, EQUAL_OPPORTUNITY, PREDICTIVE_PARITY)
-
 SIDE_BLACKBOX = "blackbox"
 SIDE_SURROGATE = "surrogate"
 
@@ -112,14 +109,6 @@ def evaluate_metric(kind: str, preds, groups, labels=None, *,
         raise DataError(f"{kind} requires ground-truth labels")
     preds, groups, labels = _check_supervised(preds, groups, labels)
     counts = {}
-    if kind == EQUAL_OPPORTUNITY:
-        t1 = _conditional_rate(preds, (groups == 1.0) & (labels == 1.0),
-                               metric=kind, population="group 1 with label 1",
-                               counts=counts, side=side)
-        t0 = _conditional_rate(preds, (groups == 0.0) & (labels == 1.0),
-                               metric=kind, population="group 0 with label 1",
-                               counts=counts, side=side)
-        return MetricResult(kind, t1 - t0, {"tpr_group1": t1, "tpr_group0": t0})
     if kind == PREDICTIVE_PARITY:
         p1 = _conditional_rate(labels, (groups == 1.0) & (preds == 1.0),
                                metric=kind, population="group 1 with prediction 1",
@@ -128,13 +117,15 @@ def evaluate_metric(kind: str, preds, groups, labels=None, *,
                                metric=kind, population="group 0 with prediction 1",
                                counts=counts, side=side)
         return MetricResult(kind, p1 - p0, {"ppv_group1": p1, "ppv_group0": p0})
-    # Equalized odds: both the TPR and FPR gaps must be defined.
     t1 = _conditional_rate(preds, (groups == 1.0) & (labels == 1.0),
                            metric=kind, population="group 1 with label 1",
                            counts=counts, side=side)
     t0 = _conditional_rate(preds, (groups == 0.0) & (labels == 1.0),
                            metric=kind, population="group 0 with label 1",
                            counts=counts, side=side)
+    if kind == EQUAL_OPPORTUNITY:
+        return MetricResult(kind, t1 - t0, {"tpr_group1": t1, "tpr_group0": t0})
+    # Equalized odds: the FPR gap must be defined too.
     f1 = _conditional_rate(preds, (groups == 1.0) & (labels == 0.0),
                            metric=kind, population="group 1 with label 0",
                            counts=counts, side=side)
@@ -189,8 +180,8 @@ def fairness_mismatch(kind: str, f_preds, e_preds, groups, labels=None,
     A MetricUndefinedError from either side propagates with its ``side``
     attribute set, never masked as zero.
     """
-    if epsilon < 0.0:
-        raise DataError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < np.inf:
+        raise DataError("epsilon must be finite and nonnegative")
     bb = evaluate_metric(kind, f_preds, groups, labels, side=SIDE_BLACKBOX)
     sur = evaluate_metric(kind, e_preds, groups, labels, side=SIDE_SURROGATE)
     mismatch = abs(bb.value - sur.value)

@@ -16,6 +16,9 @@ import numpy as np
 from .datasets import BINARY, STD_FLOOR, FeatureStats
 from .errors import DataError
 
+# Draws sample_two_group_neighborhood makes before it gives up.
+_GROUP_ATTEMPTS = 5
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -34,8 +37,8 @@ class KernelConfig:
     def __post_init__(self):
         if self.n_samples < 10:
             raise ValueError("n_samples must be at least 10")
-        if self.width is not None and self.width <= 0.0:
-            raise ValueError("width must be positive")
+        if self.width is not None and not 0.0 < self.width < np.inf:
+            raise ValueError("width must be finite and positive")
 
     def resolve_width(self, n_features: int) -> float:
         if self.width is not None:
@@ -175,19 +178,17 @@ def sample_neighborhood(x, stats: FeatureStats, f, kc: KernelConfig,
 
 
 def sample_two_group_neighborhood(x, stats: FeatureStats, f, kc: KernelConfig,
-                                  seed, max_attempts: int = 5) -> Neighborhood:
+                                  seed) -> Neighborhood:
     """Like sample_neighborhood, but guarantees both groups appear.
 
     Attempt 0 uses ``seed`` unchanged (so results pair exactly with a
     plain sample_neighborhood call); subsequent attempts prepend the
-    attempt index to the seed. Raises DataError once the attempt budget
-    is exhausted.
+    attempt index to the seed. Raises DataError once all
+    ``_GROUP_ATTEMPTS`` attempts missed a group.
     """
     if stats.group_col is None:
         raise DataError("feature statistics designate no group column")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
-    for attempt in range(max_attempts):
+    for attempt in range(_GROUP_ATTEMPTS):
         if attempt == 0:
             attempt_seed = seed
         elif isinstance(seed, tuple):
@@ -198,7 +199,7 @@ def sample_two_group_neighborhood(x, stats: FeatureStats, f, kc: KernelConfig,
         if nb.has_both_groups():
             return nb
     raise DataError(
-        f"neighborhood contained a single group in all {max_attempts} attempts"
+        f"neighborhood contained a single group in all {_GROUP_ATTEMPTS} attempts"
     )
 
 

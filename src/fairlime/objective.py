@@ -22,8 +22,8 @@ from scipy.special import expit
 
 from .errors import DataError, OptimizationError
 from .neighborhood import KernelConfig, Neighborhood, sample_two_group_neighborhood
-from .oracle import PenalizedProblem, lattice_minimum
-from .surrogate import ExplainConfig, Explanation, explain_neighborhood
+from .oracle import lattice_minimum
+from .surrogate import ExplainConfig, Explanation, FitProblem, explain_neighborhood
 
 ARMIJO_C1 = 1e-4
 # First trial step of the descent's backtracking line search.
@@ -65,10 +65,10 @@ class FairConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda2 < 0.0:
-            raise ValueError("lambda2 must be nonnegative")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 <= self.lambda2 < np.inf:
+            raise ValueError("lambda2 must be finite and nonnegative")
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError("tau must be finite and positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.steps < 1:
@@ -79,35 +79,21 @@ class FairConfig:
             raise ValueError("polish_dirs must be nonnegative")
 
 
-class _FairProblem(PenalizedProblem):
-    """Fidelity plus parity penalty on a fixed active set.
+class _FairProblem(FitProblem):
+    """Fidelity plus parity penalty on a fixed active set, which needs
+    both groups.
 
-    The parameter vector is beta = [intercept, weights over the active
-    columns]. The complexity term is constant on a fixed active set and
-    therefore omitted here; callers add lambda1 * |active| when
-    reporting objectives.
+    The complexity term is constant on a fixed active set and therefore
+    omitted here; callers add lambda1 * |active| when reporting
+    objectives.
     """
 
     def __init__(self, nb: Neighborhood, active, lambda2: float, tau: float):
-        super().__init__(nb, active, lambda2)
+        super().__init__(nb, active, require_groups=True)
         # Signed per-sample contribution to the group rate difference.
         self.gsign = np.where(self.mask1, 1.0 / self.n1, -1.0 / self.n0)
+        self.lambda2 = lambda2
         self.tau = tau
-
-    def scores(self, beta: np.ndarray) -> np.ndarray:
-        return beta[0] + self.cols @ beta[1:]
-
-    def loss(self, scores: np.ndarray) -> float:
-        r = scores - self.targets
-        return float(np.sum(self.wn * r * r))
-
-    def hard_dp(self, scores: np.ndarray) -> float:
-        """Group 1's positive rate minus group 0's, each a count over the
-        group size: bit for bit what metrics.demographic_parity returns
-        for the thresholded scores."""
-        positive = scores >= 0.5
-        return (np.count_nonzero(positive & self.mask1) / self.n1
-                - np.count_nonzero(positive & self.mask0) / self.n0)
 
     def smooth_dp(self, scores: np.ndarray) -> float:
         return float(np.sum(self.gsign * expit((scores - 0.5) / self.tau)))
@@ -247,7 +233,7 @@ def _candidate_parity(problem: _FairProblem, base: np.ndarray,
     lies in the gap next to its breakpoint unless it is a breakpoint
     itself; searchsorted places the current point and the vertex. Each
     parity is group 1's count over n1 minus group 0's over n0, as in
-    _FairProblem.hard_dp, scattered back to candidate order.
+    FitProblem.hard_dp, scattered back to candidate order.
     """
     m = np.count_nonzero(moving)
     brk = ts[1:1 + m]
@@ -377,42 +363,26 @@ class FairExplanation(Explanation):
         return doc
 
 
-def _assemble(problem: _FairProblem, nb: Neighborhood, active, beta: np.ndarray,
-              psi_vanilla: float, cfg: ExplainConfig,
-              fair: FairConfig) -> FairExplanation:
+def _assemble(problem: _FairProblem, beta: np.ndarray, psi_vanilla: float,
+              cfg: ExplainConfig, fair: FairConfig) -> FairExplanation:
     """The explanation with parameters ``beta`` on ``problem``, whose
     plain (vanilla) fit has hard parity gap ``psi_vanilla``; every
-    FairExplanation is built here."""
+    FairExplanation is built here, on FitProblem's base fields."""
     scores = problem.scores(beta)
     loss = problem.loss(scores)
     dp_hard = problem.hard_dp(scores)
     dp_smooth = problem.smooth_dp(scores)
-    psi_hard = abs(problem.dp_blackbox - dp_hard)
     psi_smooth = abs(problem.dp_blackbox - dp_smooth)
-    coefficients = np.zeros(nb.n_features)
-    coefficients[list(active)] = beta[1:]
-    penalty = cfg.lambda1 * len(active)
     return FairExplanation(
-        feature_names=nb.feature_names,
-        center=nb.center,
-        active=tuple(active),
-        intercept=float(beta[0]),
-        coefficients=coefficients,
-        lambda1=cfg.lambda1,
-        lambda2=fair.lambda2,
-        n_samples=nb.n_samples,
-        kernel_width=nb.kernel_width,
-        seed=nb.seed,
-        loss=loss,
-        complexity=len(active),
-        psi_hard=psi_hard,
-        objective=loss + penalty + fair.lambda2 * psi_hard,
+        **problem.explanation_fields(beta, loss, dp_hard, cfg.lambda1,
+                                     fair.lambda2),
         tau=fair.tau,
         dp_blackbox=problem.dp_blackbox,
         dp_surrogate_hard=dp_hard,
         dp_surrogate_smooth=dp_smooth,
         psi_smooth=psi_smooth,
-        objective_smooth=loss + penalty + fair.lambda2 * psi_smooth,
+        objective_smooth=(loss + cfg.lambda1 * len(problem.active)
+                          + fair.lambda2 * psi_smooth),
         psi_vanilla=psi_vanilla,
     )
 
@@ -451,7 +421,7 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
     active, v_beta, psi_vanilla = _vanilla_start(nb, cfg)
     problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
     if fair.lambda2 == 0.0:
-        return _assemble(problem, nb, active, v_beta, psi_vanilla, cfg, fair)
+        return _assemble(problem, v_beta, psi_vanilla, cfg, fair)
     rng = np.random.default_rng(fair.seed)
     design = np.column_stack([np.ones(problem.cols.shape[0]), problem.cols])
     starts = [v_beta]
@@ -469,7 +439,7 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
         for i, s in enumerate(starts)
     ]
     pick = min(candidates, key=problem.hard_value)
-    return _assemble(problem, nb, active, pick, psi_vanilla, cfg, fair)
+    return _assemble(problem, pick, psi_vanilla, cfg, fair)
 
 
 def fair_lime_explain(f, x, stats, kc: KernelConfig, cfg: ExplainConfig,
@@ -572,4 +542,4 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
         )
     problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
     beta = lattice_minimum(problem, grid.intercept_axis(), grid.weight_axis())
-    return _assemble(problem, nb, active, beta, psi_vanilla, cfg, fair)
+    return _assemble(problem, beta, psi_vanilla, cfg, fair)

@@ -18,13 +18,16 @@ columns are picked by the same bound taken from the weighted covariance
 of [X, f], so that their products can be kept while every block's
 moments are computed and no block is multiplied twice. The solver's
 coarse-lattice seed (objective._coarse_scan_seed) runs the same scan.
+
+Every function takes the penalized problem of the fit: a
+surrogate.FitProblem with both groups' fields, plus the penalty weight
+``lambda2`` that objective._FairProblem adds.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .metrics import demographic_parity
-from .neighborhood import Neighborhood
+from .surrogate import FitProblem
 
 # Weight combinations per block. Every column's products and moments
 # come from its whole block's matrix products, so the pruned scan reads
@@ -34,27 +37,6 @@ _GRID_CHUNK = 4096
 # Relative slack on the pruning cutoff: a cell's computed value can sit
 # a few ulps below its column's computed bound.
 _PRUNE_MARGIN = 1e-9
-
-
-class PenalizedProblem:
-    """The arrays of the hard penalized objective on a fixed active set.
-
-    Kernel weights are normalized once, so the fidelity term is
-    invariant under rescaling them. ``dp_blackbox`` is the black box's
-    demographic parity over the neighborhood.
-    """
-
-    def __init__(self, nb: Neighborhood, active, lambda2: float):
-        self.cols = nb.samples[:, list(active)]
-        self.targets = nb.f_scores
-        self.wn = nb.weights / np.sum(nb.weights)
-        groups = nb.groups
-        self.mask1 = groups == 1.0
-        self.mask0 = ~self.mask1
-        self.n1 = int(np.count_nonzero(self.mask1))
-        self.n0 = int(np.count_nonzero(self.mask0))
-        self.dp_blackbox = demographic_parity(nb.f_preds, groups)
-        self.lambda2 = lambda2
 
 
 def weight_combinations(w_axis: np.ndarray, k: int) -> np.ndarray:
@@ -80,14 +62,14 @@ def _positives_over_intercepts(b_axis: np.ndarray, u: np.ndarray) -> np.ndarray:
     return positives
 
 
-def block_moments(problem: PenalizedProblem, z: np.ndarray):
+def block_moments(problem: FitProblem, z: np.ndarray):
     """m1 and m2 of every column of ``z = cols @ w_block.T``."""
     d = z - problem.targets[:, None]
     m1 = problem.wn @ d
     return m1, problem.wn @ np.multiply(d, d, out=d)
 
 
-def cell_values(problem: PenalizedProblem, b_axis: np.ndarray, z: np.ndarray,
+def cell_values(problem: FitProblem, b_axis: np.ndarray, z: np.ndarray,
                 m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Hard objective at cell [j, k]: intercept ``b_axis[j]`` and the
     weight combination of column k of ``z``, whose moments are
@@ -146,7 +128,7 @@ def _survivors(bound: np.ndarray, incumbent: float,
     return bound <= _cutoff(incumbent, b_axis)
 
 
-def _block_columns(problem: PenalizedProblem, combos: np.ndarray,
+def _block_columns(problem: FitProblem, combos: np.ndarray,
                    idx: np.ndarray) -> np.ndarray:
     """``cols @ combos[idx].T`` for ascending ``idx``, each column cut
     from the product of its whole block."""
@@ -159,7 +141,7 @@ def _block_columns(problem: PenalizedProblem, combos: np.ndarray,
     return z
 
 
-def _score(problem: PenalizedProblem, b_axis: np.ndarray, combos: np.ndarray,
+def _score(problem: FitProblem, b_axis: np.ndarray, combos: np.ndarray,
            m1: np.ndarray, m2: np.ndarray, idx: np.ndarray, best):
     """``best`` (as in ``offer``) updated with every cell of the
     combinations ``idx``, which ascend."""
@@ -171,7 +153,7 @@ def _score(problem: PenalizedProblem, b_axis: np.ndarray, combos: np.ndarray,
     return best
 
 
-def _covariance_bounds(problem: PenalizedProblem, combos: np.ndarray) -> np.ndarray:
+def _covariance_bounds(problem: FitProblem, combos: np.ndarray) -> np.ndarray:
     """m2 - m1^2 of every combination w, as the weighted variance
     [w, -1] C [w, -1] with C the weighted covariance of [cols, targets].
     Equal to the block moments' bounds up to rounding; it only orders
@@ -183,7 +165,7 @@ def _covariance_bounds(problem: PenalizedProblem, combos: np.ndarray) -> np.ndar
     return np.sum((coef @ cov) * coef, axis=1)
 
 
-def lattice_minimum(problem: PenalizedProblem, b_axis: np.ndarray,
+def lattice_minimum(problem: FitProblem, b_axis: np.ndarray,
                     w_axis: np.ndarray) -> np.ndarray:
     """The lattice point [intercept, weights] with the lowest hard
     objective on ``problem``, which has one or two columns.

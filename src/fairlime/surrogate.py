@@ -9,9 +9,15 @@ budget K. The reported objective is
 where fidelity is the kernel-weighted mean squared error, complexity is
 the active-set size, and the parity gap compares demographic parity of
 the thresholded surrogate against the black box's.
+
+``FitProblem`` is that fit on a fixed active set. The plain fit here,
+the penalized solver (objective.py) and the lattice oracle (oracle.py)
+all score, price and report a parameter vector through it, and its
+``explanation_fields`` builds every explanation.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +52,8 @@ class ExplainConfig:
     def __post_init__(self):
         if self.n_features is not None and self.n_features < 1:
             raise ValueError("n_features must be at least 1")
-        if self.lambda1 < 0.0:
-            raise ValueError("lambda1 must be nonnegative")
+        if not 0.0 <= self.lambda1 < np.inf:
+            raise ValueError("lambda1 must be finite and nonnegative")
 
     def resolve_budget(self, n_features: int) -> int:
         budget = self.n_features
@@ -143,18 +149,10 @@ class Explanation:
 
 
 def fidelity_loss(explanation, nb: Neighborhood) -> float:
-    """Kernel-weighted mean squared error against the black-box scores.
-
-    Normalized by the total kernel mass, so rescaling all weights leaves
-    the value unchanged.
-    """
-    residual = nb.f_scores - explanation.predict_score(nb.samples)
-    return float(np.sum(nb.weights * residual * residual) / np.sum(nb.weights))
-
-
-def complexity(explanation) -> int:
-    """Active-set size: the count of features allowed nonzero weight."""
-    return len(explanation.active)
+    """Kernel-weighted mean squared error against the black-box scores,
+    the ``loss`` a fit on ``nb`` reports; invariant under rescaling the
+    kernel weights."""
+    return FitProblem(nb).loss(explanation.predict_score(nb.samples))
 
 
 def weighted_least_squares(columns: np.ndarray, targets: np.ndarray,
@@ -178,29 +176,116 @@ def weighted_least_squares(columns: np.ndarray, targets: np.ndarray,
         ) from None
 
 
-def _mean_squared_error(columns, targets, norm_weights, beta) -> float:
-    residual = targets - (beta[0] + columns @ beta[1:])
-    return float(np.sum(norm_weights * residual * residual))
+class FitProblem:
+    """The kernel-weighted fit of the black box's scores on a fixed
+    active set, with beta = [intercept, weights over the active columns].
+
+    ``wn`` are the kernel weights normalized to sum 1, so the fidelity
+    is invariant under rescaling them. Where both groups are present,
+    or ``require_groups`` demands them (raising MetricUndefinedError
+    otherwise, DataError without a group column), the problem carries
+    the group masks and sizes and the black box's ``dp_blackbox``.
+    """
+
+    def __init__(self, nb: Neighborhood, active=(), require_groups: bool = False):
+        self.nb = nb
+        self.active = tuple(active)
+        self.cols = nb.samples[:, list(self.active)]
+        self.targets = nb.f_scores
+        self.wn = nb.weights / np.sum(nb.weights)
+        self.has_groups = require_groups or nb.has_both_groups()
+        if self.has_groups:
+            groups = nb.groups
+            self.mask1 = groups == 1.0
+            self.mask0 = ~self.mask1
+            self.n1 = int(np.count_nonzero(self.mask1))
+            self.n0 = int(np.count_nonzero(self.mask0))
+            self.dp_blackbox = demographic_parity(nb.f_preds, groups)
+
+    def with_active(self, active) -> FitProblem:
+        """The same fit on the active set ``active``; weights and group
+        fields are shared, not recomputed."""
+        problem = copy.copy(self)
+        problem.active = tuple(active)
+        problem.cols = self.nb.samples[:, list(problem.active)]
+        return problem
+
+    def solve(self) -> np.ndarray:
+        """The damped least-squares parameters."""
+        return weighted_least_squares(self.cols, self.targets, self.wn)
+
+    def scores(self, beta: np.ndarray) -> np.ndarray:
+        return beta[0] + self.cols @ beta[1:]
+
+    def loss(self, scores: np.ndarray) -> float:
+        """Kernel-weighted mean squared error of ``scores``."""
+        r = scores - self.targets
+        return float(np.sum(self.wn * r * r))
+
+    def hard_dp(self, scores: np.ndarray) -> float:
+        """Group 1's positive rate minus group 0's, each a count over the
+        group size: bit for bit what metrics.demographic_parity returns
+        for the thresholded scores."""
+        positive = scores >= 0.5
+        return (np.count_nonzero(positive & self.mask1) / self.n1
+                - np.count_nonzero(positive & self.mask0) / self.n0)
+
+    def explanation_fields(self, beta: np.ndarray, loss: float,
+                           dp_hard: float | None, lambda1: float,
+                           lambda2: float = 0.0) -> dict:
+        """The Explanation fields of parameters ``beta``, whose fidelity
+        is ``loss`` and whose surrogate parity is ``dp_hard`` (None
+        without both groups, which leaves psi_hard None). The objective
+        prices the parity gap only when ``lambda2`` is nonzero."""
+        nb = self.nb
+        coefficients = np.zeros(nb.n_features)
+        coefficients[list(self.active)] = beta[1:]
+        psi_hard = None if dp_hard is None else abs(self.dp_blackbox - dp_hard)
+        objective = loss + lambda1 * len(self.active)
+        if lambda2:
+            objective += lambda2 * psi_hard
+        return dict(
+            feature_names=nb.feature_names,
+            center=nb.center,
+            active=self.active,
+            intercept=float(beta[0]),
+            coefficients=coefficients,
+            lambda1=lambda1,
+            lambda2=lambda2,
+            n_samples=nb.n_samples,
+            kernel_width=nb.kernel_width,
+            seed=nb.seed,
+            loss=loss,
+            complexity=len(self.active),
+            psi_hard=psi_hard,
+            objective=objective,
+        )
 
 
-def greedy_feature_selection(samples, targets, norm_weights, budget: int) -> list[int]:
+def greedy_feature_selection(nb: Neighborhood,
+                             budget: int) -> tuple[FitProblem, np.ndarray, float]:
     """Forward selection: repeatedly add the feature whose refit most
     reduces the weighted mean squared error, breaking ties toward the
-    lower feature index."""
-    d = samples.shape[1]
-    active: list[int] = []
+    lower feature index.
+
+    Returns the problem on the selected features in selection order,
+    its least-squares parameters and their fidelity: the last round's
+    winning solve, which is the fit.
+    """
+    problem = FitProblem(nb)
+    best = None
     for _ in range(budget):
-        best_j, best_err = -1, np.inf
-        for j in range(d):
-            if j in active:
+        best = None
+        for j in range(nb.n_features):
+            if j in problem.active:
                 continue
-            cols = samples[:, active + [j]]
-            beta = weighted_least_squares(cols, targets, norm_weights)
-            err = _mean_squared_error(cols, targets, norm_weights, beta)
-            if err < best_err - 1e-15 or best_j < 0:
-                best_j, best_err = j, err
-        active.append(best_j)
-    return active
+            candidate = problem.with_active(problem.active + (j,))
+            beta = candidate.solve()
+            loss = candidate.loss(candidate.scores(beta))
+            if best is None or loss < best[2] - 1e-15:
+                best = (candidate, beta, loss)
+        problem = best[0]
+    return best
 
 
 def explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig) -> Explanation:
@@ -210,36 +295,11 @@ def explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig) -> Explanation:
     are present; otherwise psi_hard is None and only the fidelity and
     complexity terms enter the objective.
     """
-    budget = cfg.resolve_budget(nb.n_features)
-    norm_weights = nb.weights / np.sum(nb.weights)
-    targets = nb.f_scores
-    active = greedy_feature_selection(nb.samples, targets, norm_weights, budget)
-    cols = nb.samples[:, active]
-    beta = weighted_least_squares(cols, targets, norm_weights)
-    loss = _mean_squared_error(cols, targets, norm_weights, beta)
-    coefficients = np.zeros(nb.n_features)
-    coefficients[active] = beta[1:]
-    psi_hard = None
-    if nb.has_both_groups():
-        dp_bb = demographic_parity(nb.f_preds, nb.groups)
-        surrogate_preds = ((beta[0] + cols @ beta[1:]) >= 0.5).astype(float)
-        psi_hard = abs(dp_bb - demographic_parity(surrogate_preds, nb.groups))
-    return Explanation(
-        feature_names=nb.feature_names,
-        center=nb.center,
-        active=tuple(active),
-        intercept=float(beta[0]),
-        coefficients=coefficients,
-        lambda1=cfg.lambda1,
-        lambda2=0.0,
-        n_samples=nb.n_samples,
-        kernel_width=nb.kernel_width,
-        seed=nb.seed,
-        loss=loss,
-        complexity=len(active),
-        psi_hard=psi_hard,
-        objective=loss + cfg.lambda1 * len(active),
-    )
+    problem, beta, loss = greedy_feature_selection(
+        nb, cfg.resolve_budget(nb.n_features))
+    dp_hard = problem.hard_dp(problem.scores(beta)) if problem.has_groups else None
+    return Explanation(**problem.explanation_fields(beta, loss, dp_hard,
+                                                    cfg.lambda1))
 
 
 def lime_explain(f, x, stats, kc: KernelConfig, cfg: ExplainConfig, seed) -> Explanation:

@@ -215,6 +215,44 @@ def test_audit_unknown_metric(data_csv, tmp_path, capsys):
     assert "unknown metric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lambda2", "nan", "lambda2 must be finite and nonnegative"),
+    ("--lambda2", "inf", "lambda2 must be finite and nonnegative"),
+    ("--tau", "nan", "tau must be finite and positive"),
+    ("--tau", "inf", "tau must be finite and positive"),
+    ("--lambda1", "nan", "lambda1 must be finite and nonnegative"),
+    ("--width", "nan", "width must be finite and positive"),
+    ("--width", "inf", "width must be finite and positive"),
+])
+def test_explain_rejects_a_non_finite_setting(data_csv, tmp_path, capsys,
+                                              flag, value, message):
+    out = tmp_path / "e.json"
+    assert main(explain_args(data_csv, str(out), extra=[flag, value])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def audit_args(data_csv, out, extra=()):
+    return (["audit", "--data", data_csv, "--group", "g", "--label", "y",
+             "--model", "oracle", "--metric", "dp", "--points", "2",
+             "--perturbations", "100", "--seed", "0", "--out", out]
+            + LEAN + list(extra))
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--epsilon", "nan"], "epsilon must be finite and nonnegative"),
+    (["--epsilon", "inf"], "epsilon must be finite and nonnegative"),
+    (["--points", "0"], "max_points must be at least 1"),
+    (["--points", "-1"], "max_points must be at least 1"),
+])
+def test_audit_rejects_a_bad_setting_as_a_data_error(data_csv, tmp_path,
+                                                     capsys, extra, message):
+    out = tmp_path / "a.json"
+    assert main(audit_args(data_csv, str(out), extra)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def sweep_args(data_csv, out, extra=()):
     return ["sweep", "--data", data_csv, "--group", "g", "--label", "y",
             "--model", "oracle", "--counts", "60,120", "--seeds", "2",

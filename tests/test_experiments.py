@@ -25,6 +25,12 @@ def test_subsample_indices_within_budget_keeps_every_row():
     assert subsample_indices(3, 8).tolist() == [0, 1, 2]
 
 
+@pytest.mark.parametrize("max_points", [0, -1])
+def test_subsample_indices_rejects_an_empty_budget(max_points):
+    with pytest.raises(DataError, match="max_points must be at least 1"):
+        subsample_indices(10, max_points)
+
+
 @given(st.integers(min_value=1, max_value=5000),
        st.integers(min_value=1, max_value=500))
 def test_subsample_indices_strictly_increasing_and_in_range(n, m):

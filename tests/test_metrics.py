@@ -163,6 +163,13 @@ def test_mismatch_rejects_negative_epsilon():
                           epsilon=-0.1)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_mismatch_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(DataError, match="finite"):
+        fairness_mismatch(DEMOGRAPHIC_PARITY, [1, 0], [1, 0], [1, 0],
+                          epsilon=epsilon)
+
+
 def test_mismatch_tags_the_failing_side():
     preds = np.array([1, 0, 1, 0], dtype=float)
     groups = np.array([1, 1, 0, 0], dtype=float)

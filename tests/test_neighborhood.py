@@ -131,6 +131,9 @@ def test_kernel_config_validation():
         KernelConfig(n_samples=5)
     with pytest.raises(ValueError):
         KernelConfig(n_samples=100, width=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="width must be finite"):
+            KernelConfig(n_samples=100, width=bad)
 
 
 def test_freeze_group_holds_the_anchor_bit():

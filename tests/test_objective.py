@@ -16,6 +16,7 @@ from fairlime import (DataError, ExplainConfig, FairConfig, GridSpec,
                       ThresholdOracle, demographic_parity,
                       explain_neighborhood, fair_explain_neighborhood,
                       fair_lime_explain, fairness_mismatch, feature_stats,
+                      fidelity_loss,
                       generate_synthetic, grid_search_oracle, lime_explain,
                       sample_two_group_neighborhood, smoothed_objective,
                       smoothed_objective_gradient)
@@ -24,6 +25,7 @@ from fairlime import objective, oracle
 from fairlime.metrics import DEMOGRAPHIC_PARITY
 from fairlime.objective import (POLISH_CANDIDATE_BOUND, _FairProblem, _descend,
                                 _line_minimum)
+from fairlime.surrogate import FitProblem
 
 from conftest import hand_explanation, hand_neighborhood
 
@@ -98,6 +100,11 @@ def test_fair_config_validation():
         FairConfig(lambda2=-1.0)
     with pytest.raises(ValueError):
         FairConfig(tau=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda2 must be finite"):
+            FairConfig(lambda2=bad)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            FairConfig(tau=bad)
     with pytest.raises(ValueError):
         FairConfig(restarts=0)
     with pytest.raises(ValueError):
@@ -430,7 +437,7 @@ def test_property_pruned_oracle_equals_the_exhaustive_scan(case):
     nb, cfg, fair, grid = case
     e = grid_search_oracle(nb, cfg, fair, grid=grid)
     problem = _FairProblem(nb, e.active, fair.lambda2, fair.tau)
-    reference = objective._assemble(problem, nb, e.active,
+    reference = objective._assemble(problem,
                                     _grid_minimum(problem, grid.intercept_axis(),
                                                   grid.weight_axis()),
                                     e.psi_vanilla, cfg, fair)
@@ -474,7 +481,7 @@ def test_pruning_keeps_bounds_within_the_rounding_margin():
 
 def test_covariance_bounds_match_the_block_moment_bounds():
     nb = two_feature_neighborhood()
-    problem = oracle.PenalizedProblem(nb, (0, 1), 5.0)
+    problem = FitProblem(nb, (0, 1))
     combos = oracle.weight_combinations(np.linspace(-1.5, 1.5, 101), 2)
     m1, m2 = oracle.block_moments(problem, problem.cols @ combos.T)
     np.testing.assert_allclose(oracle._covariance_bounds(problem, combos),
@@ -824,3 +831,12 @@ def test_property_swapping_group_labels_leaves_psi_unchanged(case):
     assert fit_swapped.psi_vanilla.hex() == fit.psi_vanilla.hex()
     # Exact negation; == because a zero gap stays +0.0.
     assert fit_swapped.dp_blackbox == -fit.dp_blackbox
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_cases())
+def test_property_fidelity_loss_is_the_reported_loss(case):
+    nb, cfg, fair = case
+    for fit in (explain_neighborhood(nb, cfg),
+                fair_explain_neighborhood(nb, cfg, fair)):
+        assert fidelity_loss(fit, nb).hex() == fit.loss.hex()

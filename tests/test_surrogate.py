@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from fairlime import (DataError, ExplainConfig, KernelConfig, LogisticModel,
                       explain_neighborhood, fidelity_loss, implied_boundary,
-                      lime_explain)
+                      lime_explain, surrogate)
 from fairlime.datasets import CONTINUOUS, FeatureStats
-from fairlime.surrogate import (complexity, default_sparsity,
-                                greedy_feature_selection)
+from fairlime.surrogate import default_sparsity, greedy_feature_selection
 
 from conftest import hand_explanation, hand_neighborhood
 
@@ -64,11 +63,11 @@ def test_fidelity_invariant_under_weight_rescaling():
 
 
 def test_complexity_counts_active_features():
-    assert complexity(hand_explanation(0.0, np.zeros(5))) == 0
+    assert hand_explanation(0.0, np.zeros(5)).complexity == 0
     e = hand_explanation(0.0, np.array([0.0, 1.5, 0.0, -0.2, 0.0]))
-    assert complexity(e) == 2
+    assert e.complexity == 2
     rescaled = hand_explanation(0.0, np.array([0.0, 150.0, 0.0, -20.0, 0.0]))
-    assert complexity(rescaled) == complexity(e)
+    assert rescaled.complexity == e.complexity
 
 
 def test_default_sparsity_rule():
@@ -83,6 +82,9 @@ def test_explain_config_validation():
         ExplainConfig(n_features=0)
     with pytest.raises(ValueError):
         ExplainConfig(lambda1=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda1 must be finite"):
+            ExplainConfig(lambda1=bad)
     with pytest.raises(DataError, match="exceeds"):
         ExplainConfig(n_features=4).resolve_budget(2)
 
@@ -210,8 +212,10 @@ def test_greedy_ties_break_to_the_lower_index():
     col = rng.standard_normal(50)
     samples = np.column_stack([col, col])
     scores = np.clip(0.5 + 0.1 * col, 0.0, 1.0)
-    active = greedy_feature_selection(samples, scores, np.full(50, 0.02), 1)
-    assert active == [0]
+    nb = hand_neighborhood(samples, scores, weights=np.full(50, 0.02),
+                           group_col=None)
+    problem, _, _ = greedy_feature_selection(nb, 1)
+    assert problem.active == (0,)
 
 
 def test_fidelity_never_beats_the_returned_fit():
@@ -250,3 +254,24 @@ def test_ranked_features_orders_by_magnitude():
     e = hand_explanation(0.0, np.array([0.1, -0.5, 0.0]),
                          feature_names=("a", "b", "c"))
     assert e.ranked_features() == [("b", -0.5), ("a", 0.1)]
+
+
+def test_plain_fit_solves_each_least_squares_system_once(monkeypatch):
+    # Three features: 3 + 2 + 1 candidate fits, and the last round's
+    # winner is the reported fit, not solved again.
+    calls = []
+    solve = surrogate.weighted_least_squares
+
+    def counting(columns, targets, norm_weights):
+        calls.append(columns.shape[1])
+        return solve(columns, targets, norm_weights)
+
+    monkeypatch.setattr(surrogate, "weighted_least_squares", counting)
+    rng = np.random.default_rng(4)
+    g = (rng.random(80) < 0.5).astype(float)
+    samples = np.column_stack([g, rng.standard_normal((80, 2))])
+    scores = np.clip(0.4 + samples @ np.array([0.1, 0.05, -0.02]), 0.0, 1.0)
+    e = explain_neighborhood(hand_neighborhood(samples, scores),
+                             ExplainConfig(n_features=3))
+    assert len(e.active) == 3 and e.psi_hard is not None
+    assert calls == [1, 1, 1, 2, 2, 3]
