@@ -23,7 +23,7 @@ from .experiments import (emit_report, run_boundary_experiment,
                           run_perturbation_sweep, subsample_indices,
                           sweep_fair_config, write_json)
 from .metrics import (DEMOGRAPHIC_PARITY, EQUAL_OPPORTUNITY, EQUALIZED_ODDS,
-                      PREDICTIVE_PARITY, counterfactual_check,
+                      PREDICTIVE_PARITY, _check_epsilon, counterfactual_check,
                       fairness_mismatch, sensitive_importance)
 from .models import (ThresholdOracle, TrainConfig, accuracy, load_model,
                      save_model, train_mlp)
@@ -221,18 +221,17 @@ def _row_vector(ds: TabularDataset, row: int) -> np.ndarray:
     return ds.features[row]
 
 
-def _infer_format(path: str, explicit: str | None) -> str:
-    if explicit is not None:
-        return explicit
-    if path.endswith(".json"):
-        return "json"
-    if path.endswith(".csv"):
-        return "csv"
-    if path.endswith(".svg"):
-        return "svg-lines"
-    raise DataError(
-        f"cannot infer a report format from {path!r}; pass --format"
-    )
+def _infer_format(path: str, explicit: str | None, sweep: bool) -> str:
+    """--format, else the suffix's format; only a sweep writes svg-lines."""
+    fmt = explicit
+    for suffix, name in ((".json", "json"), (".csv", "csv"), (".svg", "svg-lines")):
+        if fmt is None and path.endswith(suffix):
+            fmt = name
+    if fmt is None:
+        raise DataError(f"cannot infer a report format from {path!r}; pass --format")
+    if fmt == "svg-lines" and not sweep:
+        raise DataError("svg-lines output requires a sweep report")
+    return fmt
 
 
 def _dump_neighborhood(nb: Neighborhood, path: str) -> None:
@@ -320,6 +319,7 @@ def cmd_explain(args) -> int:
     kc = KernelConfig(n_samples=args.perturbations, width=args.width)
     cfg = ExplainConfig(n_features=args.k, lambda1=args.lambda1)
     fair = _fair_config(args, args.lambda2)
+    cfg.resolve_budget(stats.n_features)  # a bad --k fails before sampling
     nb = sample_two_group_neighborhood(x, stats, model, kc, args.seed)
     if args.dump_neighborhood:
         _dump_neighborhood(nb, args.dump_neighborhood)
@@ -349,6 +349,8 @@ def cmd_audit(args) -> int:
     cfg = ExplainConfig(n_features=args.k, lambda1=args.lambda1)
     fair = _fair_config(args, args.lambda2)
     indices = subsample_indices(ds.n_rows, args.points)
+    cfg.resolve_budget(stats.n_features)  # a bad --k fails before sampling
+    _check_epsilon(args.epsilon)
     X = ds.features
     # Labeled metrics compare against the black box's predictions on
     # the whole dataset, which are the same for every audited row.
@@ -410,11 +412,13 @@ def cmd_sweep(args) -> int:
     counts = [int(c) for c in args.counts.split(",") if c.strip()]
     cfg = ExplainConfig(n_features=args.k, lambda1=args.lambda1)
     fair = _fair_config(args, args.lambda2)
+    cfg.resolve_budget(ds.features.shape[1])  # a bad --k fails before sampling
+    fmt = _infer_format(args.out, args.format, sweep=True)
     report = run_perturbation_sweep(
         ds, model, counts, cfg, fair, range(args.seeds),
         max_points=args.max_points,
     )
-    emit_report(report, _infer_format(args.out, args.format), args.out)
+    emit_report(report, fmt, args.out)
     print(f"wrote {args.out}: counts {','.join(str(c) for c in report.counts)}, "
           f"final vanilla psi {report.mean_vanilla[-1]!r}, "
           f"final fair psi {report.mean_fair[-1]!r}, "
@@ -426,8 +430,9 @@ def cmd_boundary(args) -> int:
     cfg = _synthetic_config(args, seed=0)
     kc = KernelConfig(n_samples=args.perturbations, width=args.width)
     explain_cfg = ExplainConfig(n_features=args.k, lambda1=args.lambda1)
+    fmt = _infer_format(args.out, args.format, sweep=False)
     report = run_boundary_experiment(cfg, kc, explain_cfg, range(args.seeds))
-    emit_report(report, _infer_format(args.out, args.format), args.out)
+    emit_report(report, fmt, args.out)
     side = "majority" if report.closer_to_majority else "minority"
     print(f"wrote {args.out}: mean implied boundary "
           f"{report.mean_boundary!r}, closer to the {side} threshold, "

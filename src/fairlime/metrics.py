@@ -171,6 +171,11 @@ class MismatchReport:
         }
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < np.inf:
+        raise DataError("epsilon must be finite and nonnegative")
+
+
 def fairness_mismatch(kind: str, f_preds, e_preds, groups, labels=None,
                       epsilon: float = 0.05) -> MismatchReport:
     """|M(black box) - M(surrogate)| on whatever population the caller
@@ -180,8 +185,7 @@ def fairness_mismatch(kind: str, f_preds, e_preds, groups, labels=None,
     A MetricUndefinedError from either side propagates with its ``side``
     attribute set, never masked as zero.
     """
-    if not 0.0 <= epsilon < np.inf:
-        raise DataError("epsilon must be finite and nonnegative")
+    _check_epsilon(epsilon)
     bb = evaluate_metric(kind, f_preds, groups, labels, side=SIDE_BLACKBOX)
     sur = evaluate_metric(kind, e_preds, groups, labels, side=SIDE_SURROGATE)
     mismatch = abs(bb.value - sur.value)

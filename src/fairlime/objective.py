@@ -23,7 +23,8 @@ from scipy.special import expit
 from .errors import DataError, OptimizationError
 from .neighborhood import KernelConfig, Neighborhood, sample_two_group_neighborhood
 from .oracle import lattice_minimum
-from .surrogate import ExplainConfig, Explanation, FitProblem, explain_neighborhood
+from .surrogate import (ExplainConfig, Explanation, FitProblem,
+                        greedy_feature_selection)
 
 ARMIJO_C1 = 1e-4
 # First trial step of the descent's backtracking line search.
@@ -363,11 +364,12 @@ class FairExplanation(Explanation):
         return doc
 
 
-def _assemble(problem: _FairProblem, beta: np.ndarray, psi_vanilla: float,
+def _assemble(problem: _FairProblem, beta: np.ndarray, v_beta: np.ndarray,
               cfg: ExplainConfig, fair: FairConfig) -> FairExplanation:
     """The explanation with parameters ``beta`` on ``problem``, whose
-    plain (vanilla) fit has hard parity gap ``psi_vanilla``; every
-    FairExplanation is built here, on FitProblem's base fields."""
+    plain (vanilla) fit is ``v_beta``; every FairExplanation is built
+    here, on FitProblem's base fields."""
+    psi_vanilla = abs(problem.dp_blackbox - problem.hard_dp(problem.scores(v_beta)))
     scores = problem.scores(beta)
     loss = problem.loss(scores)
     dp_hard = problem.hard_dp(scores)
@@ -387,21 +389,11 @@ def _assemble(problem: _FairProblem, beta: np.ndarray, psi_vanilla: float,
     )
 
 
-def _vanilla_start(nb: Neighborhood, cfg: ExplainConfig):
-    """The plain surrogate's active set, its parameters [intercept,
-    weights over the active set] and its hard parity gap."""
-    vanilla = explain_neighborhood(nb, cfg)
-    active = vanilla.active
-    v_beta = np.concatenate([[vanilla.intercept],
-                             vanilla.coefficients[list(active)]])
-    return active, v_beta, vanilla.psi_hard
-
-
 def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
                               fair: FairConfig) -> FairExplanation:
     """Fit the parity-penalized surrogate on a two-group neighborhood.
 
-    The active set is the plain surrogate's greedy selection. With
+    Greedy selection on the penalized problem gives the plain fit. With
     lambda2 = 0 the plain solution is returned verbatim, bit for bit.
     Otherwise multi-restart descent on the smoothed objective runs from
     the plain solution (restart 0) and noisy copies of it; the plain
@@ -418,10 +410,11 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
     the smooth value would discard exactly the solutions the penalty
     is after.
     """
-    active, v_beta, psi_vanilla = _vanilla_start(nb, cfg)
-    problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
+    budget = cfg.resolve_budget(nb.n_features)
+    problem, v_beta, _ = greedy_feature_selection(
+        _FairProblem(nb, (), fair.lambda2, fair.tau), budget)
     if fair.lambda2 == 0.0:
-        return _assemble(problem, v_beta, psi_vanilla, cfg, fair)
+        return _assemble(problem, v_beta, v_beta, cfg, fair)
     rng = np.random.default_rng(fair.seed)
     design = np.column_stack([np.ones(problem.cols.shape[0]), problem.cols])
     starts = [v_beta]
@@ -431,7 +424,7 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
             start = v_beta + RESTART_NOISE * rng.standard_normal(v_beta.shape)
         beta_r, _ = _descend(problem, start, fair.steps, r)
         starts.append(beta_r)
-    if fair.polish_dirs > 0 and len(active) <= 2:
+    if fair.polish_dirs > 0 and len(problem.active) <= 2:
         starts.append(_coarse_scan_seed(problem, v_beta))
     candidates = [
         _polish(problem, design, s, v_beta, fair.polish_rounds,
@@ -439,7 +432,7 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
         for i, s in enumerate(starts)
     ]
     pick = min(candidates, key=problem.hard_value)
-    return _assemble(problem, pick, psi_vanilla, cfg, fair)
+    return _assemble(problem, pick, v_beta, cfg, fair)
 
 
 def fair_lime_explain(f, x, stats, kc: KernelConfig, cfg: ExplainConfig,
@@ -524,8 +517,8 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
                        grid: GridSpec | None = None) -> FairExplanation:
     """The exact hard objective's optimum over a grid.
 
-    The active set is the plain surrogate's greedy selection, capped at
-    two features since the grid is exponential in dimension. The
+    The active set is greedy selection on the penalized problem, capped
+    at two features since the grid is exponential in dimension. The
     optimum is exact on the lattice (oracle.lattice_minimum skips only
     columns whose fidelity bound exceeds a cell already scored). Ties
     break toward the lowest objective, then the smallest weight
@@ -535,11 +528,10 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
     """
     if grid is None:
         grid = GridSpec()
-    active, _, psi_vanilla = _vanilla_start(nb, cfg)
-    if len(active) > 2:
-        raise DataError(
-            f"grid oracle supports at most 2 active features, got {len(active)}"
-        )
-    problem = _FairProblem(nb, active, fair.lambda2, fair.tau)
+    budget = cfg.resolve_budget(nb.n_features)
+    if budget > 2:
+        raise DataError(f"grid oracle supports at most 2 active features, got {budget}")
+    problem, v_beta, _ = greedy_feature_selection(
+        _FairProblem(nb, (), fair.lambda2, fair.tau), budget)
     beta = lattice_minimum(problem, grid.intercept_axis(), grid.weight_axis())
-    return _assemble(problem, beta, psi_vanilla, cfg, fair)
+    return _assemble(problem, beta, v_beta, cfg, fair)

@@ -19,9 +19,9 @@ of [X, f], so that their products can be kept while every block's
 moments are computed and no block is multiplied twice. The solver's
 coarse-lattice seed (objective._coarse_scan_seed) runs the same scan.
 
-Every function takes the penalized problem of the fit: a
-surrogate.FitProblem with both groups' fields, plus the penalty weight
-``lambda2`` that objective._FairProblem adds.
+Every function takes the penalized problem greedy selection grew for
+the fit: a surrogate.FitProblem with both groups' fields, plus the
+penalty weight ``lambda2`` that objective._FairProblem adds.
 """
 from __future__ import annotations
 

@@ -10,10 +10,10 @@ where fidelity is the kernel-weighted mean squared error, complexity is
 the active-set size, and the parity gap compares demographic parity of
 the thresholded surrogate against the black box's.
 
-``FitProblem`` is that fit on a fixed active set. The plain fit here,
-the penalized solver (objective.py) and the lattice oracle (oracle.py)
-all score, price and report a parameter vector through it, and its
-``explanation_fields`` builds every explanation.
+``FitProblem`` is that fit on a fixed active set. Each fit sets one up
+once and greedy selection grows it: a FitProblem for the plain fit, its
+penalized subclass (objective.py) for the solver and the grid oracle.
+Its ``explanation_fields`` builds every explanation.
 """
 from __future__ import annotations
 
@@ -262,21 +262,20 @@ class FitProblem:
         )
 
 
-def greedy_feature_selection(nb: Neighborhood,
+def greedy_feature_selection(root: FitProblem,
                              budget: int) -> tuple[FitProblem, np.ndarray, float]:
-    """Forward selection: repeatedly add the feature whose refit most
-    reduces the weighted mean squared error, breaking ties toward the
-    lower feature index.
+    """Forward selection from ``root``, a problem with no active
+    features: repeatedly add the feature whose refit most reduces the
+    weighted mean squared error, breaking ties toward the lower index.
 
-    Returns the problem on the selected features in selection order,
-    its least-squares parameters and their fidelity: the last round's
-    winning solve, which is the fit.
+    Returns ``root`` on the selected features in selection order (a
+    with_active copy, so a subclass keeps its fields), its parameters
+    and their fidelity: the last round's winning solve, which is the fit.
     """
-    problem = FitProblem(nb)
-    best = None
+    problem, best = root, None
     for _ in range(budget):
         best = None
-        for j in range(nb.n_features):
+        for j in range(root.nb.n_features):
             if j in problem.active:
                 continue
             candidate = problem.with_active(problem.active + (j,))
@@ -295,8 +294,8 @@ def explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig) -> Explanation:
     are present; otherwise psi_hard is None and only the fidelity and
     complexity terms enter the objective.
     """
-    problem, beta, loss = greedy_feature_selection(
-        nb, cfg.resolve_budget(nb.n_features))
+    budget = cfg.resolve_budget(nb.n_features)
+    problem, beta, loss = greedy_feature_selection(FitProblem(nb), budget)
     dp_hard = problem.hard_dp(problem.scores(beta)) if problem.has_groups else None
     return Explanation(**problem.explanation_fields(beta, loss, dp_hard,
                                                     cfg.lambda1))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fairlime import (ExplainConfig, FairConfig, ThresholdOracle, cli,
-                      load_csv, sweep_fair_config)
+                      experiments, load_csv, sweep_fair_config)
 from fairlime.cli import main
 
 from conftest import OneNaNScore
@@ -244,13 +244,23 @@ def audit_args(data_csv, out, extra=()):
     (["--epsilon", "inf"], "epsilon must be finite and nonnegative"),
     (["--points", "0"], "max_points must be at least 1"),
     (["--points", "-1"], "max_points must be at least 1"),
+    (["--epsilon", "-1"], "epsilon must be finite and nonnegative"),
 ])
 def test_audit_rejects_a_bad_setting_as_a_data_error(data_csv, tmp_path,
-                                                     capsys, extra, message):
+                                                     capsys, monkeypatch,
+                                                     extra, message):
+    sampled = []
+    monkeypatch.setattr(cli, "sample_two_group_neighborhood",
+                        lambda *a: sampled.append(a))
     out = tmp_path / "a.json"
     assert main(audit_args(data_csv, str(out), extra)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+    assert sampled == []
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called after the flags were rejected")
 
 
 def sweep_args(data_csv, out, extra=()):
@@ -288,10 +298,40 @@ def test_sweep_format_flag_overrides_the_suffix(data_csv, tmp_path):
 
 
 def test_sweep_unknown_suffix_without_format_fails(data_csv, tmp_path,
-                                                   capsys):
-    rc = main(sweep_args(data_csv, str(tmp_path / "report.dat")))
+                                                   capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_perturbation_sweep", _refuse)
+    out = tmp_path / "report.dat"
+    rc = main(sweep_args(data_csv, str(out)))
     assert rc == 2
     assert "cannot infer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_boundary_svg_fails_before_the_study(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_boundary_experiment", _refuse)
+    out = tmp_path / "b.svg"
+    rc = main(["boundary", "--seeds", "5", "--out", str(out)])
+    assert rc == 2
+    assert (capsys.readouterr().err
+            == "error: svg-lines output requires a sweep report\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "audit", "sweep"])
+def test_a_budget_above_the_feature_count_fails_before_sampling(
+        data_csv, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "sample_two_group_neighborhood", _refuse)
+    monkeypatch.setattr(experiments, "sample_two_group_neighborhood", _refuse)
+    out = tmp_path / "o.json"
+    dump = tmp_path / "nb.csv"
+    args = {"explain": explain_args(data_csv, str(out), extra=[
+                "--dump-neighborhood", str(dump)]),
+            "audit": audit_args(data_csv, str(out)),
+            "sweep": sweep_args(data_csv, str(out))}[command]
+    assert main(args + ["--k", "9"]) == 2
+    assert (capsys.readouterr().err
+            == "error: sparsity budget 9 exceeds 3 features\n")
+    assert not out.exists() and not dump.exists()
 
 
 def test_sweep_is_byte_reproducible(data_csv, tmp_path):

@@ -21,7 +21,7 @@ from fairlime import (DataError, ExplainConfig, FairConfig, GridSpec,
                       sample_two_group_neighborhood, smoothed_objective,
                       smoothed_objective_gradient)
 import fairlime
-from fairlime import objective, oracle
+from fairlime import objective, oracle, surrogate
 from fairlime.metrics import DEMOGRAPHIC_PARITY
 from fairlime.objective import (POLISH_CANDIDATE_BOUND, _FairProblem, _descend,
                                 _line_minimum)
@@ -328,6 +328,30 @@ def test_oracle_refinement_never_increases_the_optimum():
     assert fine.objective <= coarse.objective
 
 
+def test_each_penalized_fit_counts_the_groups_once(monkeypatch):
+    calls = []
+    parity = surrogate.demographic_parity
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return parity(*args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "demographic_parity", counting)
+    nb = two_feature_neighborhood()
+    cfg = ExplainConfig()
+    grid = GridSpec(intercept_low=-2.0, intercept_high=2.0, weight_low=-1.0,
+                    weight_high=1.0, intercept_steps=20, weight_steps=10)
+    fits = [lambda: fair_explain_neighborhood(nb, cfg, FairConfig(lambda2=0.0)),
+            lambda: fair_explain_neighborhood(nb, cfg, FairConfig(lambda2=5.0)),
+            lambda: grid_search_oracle(nb, cfg, FairConfig(), grid=grid)]
+    counts = []
+    for fit in fits:
+        calls.clear()
+        fit()
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
+
+
 def test_oracle_rejects_wide_active_sets():
     nb = oracle_neighborhood(seed=0)
     with pytest.raises(DataError, match="at most 2"):
@@ -440,7 +464,7 @@ def test_property_pruned_oracle_equals_the_exhaustive_scan(case):
     reference = objective._assemble(problem,
                                     _grid_minimum(problem, grid.intercept_axis(),
                                                   grid.weight_axis()),
-                                    e.psi_vanilla, cfg, fair)
+                                    problem.solve(), cfg, fair)
     assert e.intercept.hex() == reference.intercept.hex()
     assert e.coefficients.tobytes() == reference.coefficients.tobytes()
     assert e.objective.hex() == reference.objective.hex()

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairlime import (DataError, ExplainConfig, KernelConfig, LogisticModel,
-                      explain_neighborhood, fidelity_loss, implied_boundary,
-                      lime_explain, surrogate)
+from fairlime import (DataError, ExplainConfig, FairConfig, KernelConfig,
+                      LogisticModel, explain_neighborhood,
+                      fair_explain_neighborhood, fidelity_loss,
+                      implied_boundary, lime_explain, surrogate)
 from fairlime.datasets import CONTINUOUS, FeatureStats
-from fairlime.surrogate import default_sparsity, greedy_feature_selection
+from fairlime.surrogate import (FitProblem, default_sparsity,
+                               greedy_feature_selection)
 
 from conftest import hand_explanation, hand_neighborhood
 
@@ -214,7 +216,7 @@ def test_greedy_ties_break_to_the_lower_index():
     scores = np.clip(0.5 + 0.1 * col, 0.0, 1.0)
     nb = hand_neighborhood(samples, scores, weights=np.full(50, 0.02),
                            group_col=None)
-    problem, _, _ = greedy_feature_selection(nb, 1)
+    problem, _, _ = greedy_feature_selection(FitProblem(nb), 1)
     assert problem.active == (0,)
 
 
@@ -258,7 +260,8 @@ def test_ranked_features_orders_by_magnitude():
 
 def test_plain_fit_solves_each_least_squares_system_once(monkeypatch):
     # Three features: 3 + 2 + 1 candidate fits, and the last round's
-    # winner is the reported fit, not solved again.
+    # winner is the reported fit, not solved again, also where the
+    # penalized fit starts from it.
     calls = []
     solve = surrogate.weighted_least_squares
 
@@ -271,7 +274,12 @@ def test_plain_fit_solves_each_least_squares_system_once(monkeypatch):
     g = (rng.random(80) < 0.5).astype(float)
     samples = np.column_stack([g, rng.standard_normal((80, 2))])
     scores = np.clip(0.4 + samples @ np.array([0.1, 0.05, -0.02]), 0.0, 1.0)
-    e = explain_neighborhood(hand_neighborhood(samples, scores),
-                             ExplainConfig(n_features=3))
-    assert len(e.active) == 3 and e.psi_hard is not None
-    assert calls == [1, 1, 1, 2, 2, 3]
+    nb = hand_neighborhood(samples, scores)
+    cfg = ExplainConfig(n_features=3)
+    fair = FairConfig(restarts=2, steps=20, polish_rounds=1, polish_dirs=0)
+    for fit in (lambda: explain_neighborhood(nb, cfg),
+                lambda: fair_explain_neighborhood(nb, cfg, fair)):
+        calls.clear()
+        e = fit()
+        assert len(e.active) == 3 and e.psi_hard is not None
+        assert calls == [1, 1, 1, 2, 2, 3]
