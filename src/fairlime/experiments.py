@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import (SyntheticConfig, TabularDataset, feature_stats,
-                       generate_synthetic)
+from .datasets import (SYNTHETIC_FEATURE_NAMES, SyntheticConfig,
+                       TabularDataset, feature_stats, generate_synthetic)
 from .errors import DataError
 from .models import ThresholdOracle
 from .neighborhood import KernelConfig, sample_two_group_neighborhood
@@ -95,6 +95,7 @@ def run_boundary_experiment(cfg: SyntheticConfig, kc: KernelConfig,
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 5:
         raise DataError("boundary experiment needs at least 5 seeds")
+    explain_cfg.resolve_budget(len(SYNTHETIC_FEATURE_NAMES))  # before any dataset
     b_major, b_minor = cfg.boundary_majority, cfg.boundary_minority
     lo = min(b_major, b_minor) - PANEL_MARGIN
     hi = max(b_major, b_minor) + PANEL_MARGIN

@@ -22,7 +22,7 @@ from scipy.special import expit
 
 from .errors import DataError, OptimizationError
 from .neighborhood import KernelConfig, Neighborhood, sample_two_group_neighborhood
-from .oracle import lattice_minimum
+from .oracle import certified_minimum, lattice_minimum
 from .surrogate import (ExplainConfig, Explanation, FitProblem,
                         greedy_feature_selection)
 
@@ -47,14 +47,14 @@ class FairConfig:
 
     ``lambda2`` prices the parity gap; 0 turns the penalty off and the
     solve reduces exactly to the plain surrogate. ``tau`` is the sigmoid
-    temperature on the score scale. One descent restart always starts
-    at the plain least-squares solution; the remaining ``restarts - 1``
-    perturb it with Gaussian noise of scale ``RESTART_NOISE``. Every
-    descent result then gets ``polish_rounds`` rounds of exact line
-    minimization of the hard objective, sweeping the coordinate axes
-    plus ``polish_dirs`` random directions per round; 0 keeps the
-    polish coordinate-only, which is cheaper but cannot cross cell
-    corners of the piecewise-constant parity term.
+    temperature on the score scale. One descent restart starts at the
+    plain least-squares solution, the other ``restarts - 1`` at noisy
+    copies of it (scale ``RESTART_NOISE``). Every descent result then
+    gets ``polish_rounds`` rounds of exact line minimization of the hard
+    objective along the axes and ``polish_dirs`` random directions per
+    round (0: axes only, cheaper, but unable to cross cell corners of
+    the piecewise-constant parity term). Fits with up to two active
+    features also scan a certified lattice region, whatever the knobs.
     """
 
     lambda2: float = 5.0
@@ -397,13 +397,13 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
     lambda2 = 0 the plain solution is returned verbatim, bit for bit.
     Otherwise multi-restart descent on the smoothed objective runs from
     the plain solution (restart 0) and noisy copies of it; the plain
-    solution, every descent result and, for up to two active features
-    with polish directions, a coarse-lattice seed each get an exact
-    line-search polish against the hard objective, and the winner is
-    the polished point with the lowest hard objective. The polish
-    accepts only strict improvements, so the polished plain solution,
-    and with it the fit, never loses to the plain solution on the
-    reported objective.
+    solution and every descent result each get an exact line-search
+    polish against the hard objective, and the polished point with the
+    lowest hard objective is picked. For up to two active features the
+    best cell of the 0.01 lattice that could beat the pick
+    (oracle.certified_minimum), polished, replaces it if strictly
+    better. The polish accepts only strict improvements, so the fit
+    never loses to the plain solution on the reported objective.
     The smooth proxy steers only the descent stage: at the hard
     optimum, scores often sit close to the 0.5 threshold where the
     sigmoid relaxation is far from saturated, so judging candidates by
@@ -424,14 +424,18 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
             start = v_beta + RESTART_NOISE * rng.standard_normal(v_beta.shape)
         beta_r, _ = _descend(problem, start, fair.steps, r)
         starts.append(beta_r)
-    if fair.polish_dirs > 0 and len(problem.active) <= 2:
-        starts.append(_coarse_scan_seed(problem, v_beta))
     candidates = [
         _polish(problem, design, s, v_beta, fair.polish_rounds,
                 fair.polish_dirs, (fair.seed, _POLISH_STREAM, i))
         for i, s in enumerate(starts)
     ]
     pick = min(candidates, key=problem.hard_value)
+    cell = (certified_minimum(problem, problem.hard_value(pick))
+            if len(problem.active) <= 2 else None)
+    if cell is not None:
+        polished = _polish(problem, design, cell, v_beta, fair.polish_rounds,
+                           fair.polish_dirs, (fair.seed, _POLISH_STREAM, len(starts)))
+        pick = min([pick, polished], key=problem.hard_value)
     return _assemble(problem, pick, v_beta, cfg, fair)
 
 
@@ -442,37 +446,6 @@ def fair_lime_explain(f, x, stats, kc: KernelConfig, cfg: ExplainConfig,
     a documented retry scheme when a draw misses one group."""
     nb = sample_two_group_neighborhood(x, stats, f, kc, seed)
     return fair_explain_neighborhood(nb, cfg, fair)
-
-
-_COARSE_RESOLUTION = 0.05
-_COARSE_MAX_STEPS = 200
-
-
-def _coarse_scan_seed(problem: _FairProblem, v_beta: np.ndarray) -> np.ndarray:
-    """Global polish seed from a cheap low-resolution lattice scan.
-
-    Random restarts explore a noise ball around the plain fit; when the
-    best parity cell lies elsewhere they all converge short of it. For
-    up to two active features the grid oracle's exact scan
-    (oracle.lattice_minimum) of a wide coarse lattice, at most 201
-    points per axis, hands the polish a start in the globally best
-    region, which it then refines exactly.
-    """
-    i_span = max(2.0, 2.0 * abs(float(v_beta[0])))
-    w_span = max(1.5, 2.0 * float(np.max(np.abs(v_beta[1:]), initial=0.0)))
-    i_steps = min(_COARSE_MAX_STEPS,
-                  int(np.ceil(2.0 * i_span / _COARSE_RESOLUTION)))
-    w_steps = min(_COARSE_MAX_STEPS,
-                  int(np.ceil(2.0 * w_span / _COARSE_RESOLUTION)))
-    grid = GridSpec(
-        intercept_low=float(v_beta[0]) - i_span,
-        intercept_high=float(v_beta[0]) + i_span,
-        weight_low=-w_span,
-        weight_high=w_span,
-        intercept_steps=i_steps,
-        weight_steps=w_steps,
-    )
-    return lattice_minimum(problem, grid.intercept_axis(), grid.weight_axis())
 
 
 @dataclass(frozen=True)
@@ -533,5 +506,6 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
         raise DataError(f"grid oracle supports at most 2 active features, got {budget}")
     problem, v_beta, _ = greedy_feature_selection(
         _FairProblem(nb, (), fair.lambda2, fair.tau), budget)
-    beta = lattice_minimum(problem, grid.intercept_axis(), grid.weight_axis())
+    beta = lattice_minimum(problem, grid.intercept_axis(),
+                           [grid.weight_axis()] * budget)
     return _assemble(problem, beta, v_beta, cfg, fair)

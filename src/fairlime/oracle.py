@@ -17,7 +17,7 @@ bit for bit, after scoring a few percent of the cells. The first
 columns are picked by the same bound taken from the weighted covariance
 of [X, f], so that their products can be kept while every block's
 moments are computed and no block is multiplied twice. The solver's
-coarse-lattice seed (objective._coarse_scan_seed) runs the same scan.
+certified search region (``certified_minimum``) runs the same scan.
 
 Every function takes the penalized problem greedy selection grew for
 the fit: a surrogate.FitProblem with both groups' fields, plus the
@@ -38,14 +38,16 @@ _GRID_CHUNK = 4096
 # a few ulps below its column's computed bound.
 _PRUNE_MARGIN = 1e-9
 
+# The most cells a certified scan may hold, 201 per axis of [intercept,
+# w1, w2]; only a (nearly) singular Gram matrix gives a wider box.
+_MAX_CERTIFIED_CELLS = 201 ** 3
 
-def weight_combinations(w_axis: np.ndarray, k: int) -> np.ndarray:
-    """Every combination of ``k`` (1 or 2) weights from ``w_axis``, one
-    per row, the last weight varying fastest."""
-    if k == 1:
-        return w_axis[:, None]
-    a, b = np.meshgrid(w_axis, w_axis, indexing="ij")
-    return np.column_stack([a.ravel(), b.ravel()])
+
+def weight_combinations(w_axes) -> np.ndarray:
+    """Every combination of one weight from each axis of ``w_axes`` (one
+    or two), one per row, the last weight varying fastest."""
+    grids = np.meshgrid(*w_axes, indexing="ij")
+    return np.column_stack([grid.ravel() for grid in grids])
 
 
 def _positives_over_intercepts(b_axis: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -122,12 +124,6 @@ def _cutoff(incumbent: float, b_axis: np.ndarray) -> float:
     return incumbent + _PRUNE_MARGIN * scale
 
 
-def _survivors(bound: np.ndarray, incumbent: float,
-               b_axis: np.ndarray) -> np.ndarray:
-    """Which columns the pruned scan must still score."""
-    return bound <= _cutoff(incumbent, b_axis)
-
-
 def _block_columns(problem: FitProblem, combos: np.ndarray,
                    idx: np.ndarray) -> np.ndarray:
     """``cols @ combos[idx].T`` for ascending ``idx``, each column cut
@@ -166,17 +162,17 @@ def _covariance_bounds(problem: FitProblem, combos: np.ndarray) -> np.ndarray:
 
 
 def lattice_minimum(problem: FitProblem, b_axis: np.ndarray,
-                    w_axis: np.ndarray) -> np.ndarray:
+                    w_axes) -> np.ndarray:
     """The lattice point [intercept, weights] with the lowest hard
     objective on ``problem``, which has one or two columns.
 
-    The lattice is ``b_axis`` by ``w_axis`` per column. Ties break
+    The lattice is ``b_axis`` by ``w_axes[j]`` for column j. Ties break
     toward the smallest weight max-norm, then lexicographically over
     (intercept, weights). Exact: the _GRID_CHUNK columns with the
     lowest covariance bounds give an incumbent, and of the rest only the
     columns whose block-moment bound could reach it are scored.
     """
-    combos = weight_combinations(w_axis, problem.cols.shape[1])
+    combos = weight_combinations(w_axes)
     first = np.sort(np.argsort(_covariance_bounds(problem, combos),
                                kind="stable")[:_GRID_CHUNK])
     m1 = np.empty(combos.shape[0])
@@ -195,6 +191,39 @@ def lattice_minimum(problem: FitProblem, b_axis: np.ndarray,
         m1[lo:hi], m2[lo:hi] = block_moments(problem, z)
     best = offer(None, cell_values(problem, b_axis, z_first, m1[first],
                                    m2[first]), b_axis, combos[first])
-    rest = _survivors(m2 - m1 * m1, best[0][0], b_axis)
+    rest = m2 - m1 * m1 <= _cutoff(best[0][0], b_axis)
     rest[first] = False
     return _score(problem, b_axis, combos, m1, m2, np.flatnonzero(rest), best)[1]
+
+
+def certified_minimum(problem: FitProblem, incumbent: float) -> np.ndarray | None:
+    """The best point of the 0.01 lattice anchored at 0, whenever its
+    hard objective is below ``incumbent``; None, scanning nothing, where
+    the weighted Gram matrix G of [1, cols] is singular or the box below
+    would hold more than _MAX_CERTIFIED_CELLS cells.
+
+    With v the undamped least-squares fit and F its fidelity, fidelity
+    is exactly F + (beta - v)' G (beta - v) and the penalty is
+    nonnegative, so every cell at or below the incumbent lies in the box
+    v +- sqrt(R inv(G)_jj), R = incumbent - F plus the pruning's
+    rounding margin; ``lattice_minimum`` scans it, rounded outward.
+    """
+    gram, rhs = problem.normal_equations()
+    try:
+        center = np.linalg.solve(gram, rhs)
+        diag = np.diag(np.linalg.inv(gram))
+    except np.linalg.LinAlgError:
+        return None
+    floor = problem.loss(problem.scores(center))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The margin is taken on the scale of the box's own intercepts.
+        b_max = abs(center[0]) + np.sqrt((incumbent - floor) * diag[0])
+        half = np.sqrt((_cutoff(incumbent, np.array([b_max])) - floor) * diag)
+        low = np.floor(100.0 * (center - half))
+        high = np.ceil(100.0 * (center + half))
+        cells = np.prod(high - low + 1.0)
+    if not cells <= _MAX_CERTIFIED_CELLS:  # also a NaN count
+        return None
+    b_axis, *w_axes = (np.arange(lo, hi + 1.0) / 100.0
+                       for lo, hi in zip(low, high))
+    return lattice_minimum(problem, b_axis, w_axes)

@@ -155,27 +155,6 @@ def fidelity_loss(explanation, nb: Neighborhood) -> float:
     return FitProblem(nb).loss(explanation.predict_score(nb.samples))
 
 
-def weighted_least_squares(columns: np.ndarray, targets: np.ndarray,
-                           norm_weights: np.ndarray) -> np.ndarray:
-    """Solve the damped weighted normal equations.
-
-    ``norm_weights`` must sum to 1. Returns [intercept, w_1, ..., w_k];
-    the damping touches only the weight coordinates, so an intercept-only
-    fit stays the exact weighted mean.
-    """
-    n, k = columns.shape
-    design = np.column_stack([np.ones(n), columns])
-    weighted = design.T * norm_weights
-    gram = weighted @ design
-    gram[np.arange(1, k + 1), np.arange(1, k + 1)] += RIDGE_DAMPING
-    try:
-        return np.linalg.solve(gram, weighted @ targets)
-    except np.linalg.LinAlgError:
-        raise OptimizationError(
-            "normal equations are singular despite damping"
-        ) from None
-
-
 class FitProblem:
     """The kernel-weighted fit of the black box's scores on a fixed
     active set, with beta = [intercept, weights over the active columns].
@@ -210,9 +189,26 @@ class FitProblem:
         problem.cols = self.nb.samples[:, list(problem.active)]
         return problem
 
+    def normal_equations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted Gram matrix of the design [1, cols] and the
+        right-hand side of the undamped weighted normal equations."""
+        design = np.column_stack([np.ones(self.cols.shape[0]), self.cols])
+        weighted = design.T * self.wn
+        return weighted @ design, weighted @ self.targets
+
     def solve(self) -> np.ndarray:
-        """The damped least-squares parameters."""
-        return weighted_least_squares(self.cols, self.targets, self.wn)
+        """The damped least-squares parameters [intercept, weights]. The
+        damping touches only the weights, so an intercept-only fit stays
+        the exact weighted mean."""
+        k = self.cols.shape[1]
+        gram, rhs = self.normal_equations()
+        gram[np.arange(1, k + 1), np.arange(1, k + 1)] += RIDGE_DAMPING
+        try:
+            return np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            raise OptimizationError(
+                "normal equations are singular despite damping"
+            ) from None
 
     def scores(self, beta: np.ndarray) -> np.ndarray:
         return beta[0] + self.cols @ beta[1:]

@@ -59,8 +59,8 @@ def _two_feature_case():
 
 def _solver_and_grid(path: Path) -> None:
     """A criterion-4-style instance: 200 perturbations, lambda2 = 5; the
-    solver takes its coarse-lattice seed path and the grid oracle
-    checks it."""
+    solver runs its certified lattice scan and the grid oracle checks
+    it."""
     x, stats, f = _two_feature_case()
     nb = sample_two_group_neighborhood(x, stats, f, KernelConfig(n_samples=200),
                                        SEED)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from fairlime import (ExplainConfig, FairConfig, GridSpec, KernelConfig,
-                      LogisticModel, MetricUndefinedError, SyntheticConfig,
+from fairlime import (ExplainConfig, FairConfig, KernelConfig,
+                      MetricUndefinedError, SyntheticConfig,
                       TabularDataset, ThresholdOracle, TrainConfig, accuracy,
                       demographic_parity, evaluate_metric,
                       explain_neighborhood, fair_explain_neighborhood,
@@ -26,6 +26,8 @@ from fairlime.metrics import (DEMOGRAPHIC_PARITY, EQUALIZED_ODDS,
 from fairlime.models import MLP, gradient_check
 from fairlime.experiments import (run_boundary_experiment,
                                   run_perturbation_sweep, sweep_fair_config)
+
+import solver_misses
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -84,24 +86,13 @@ def test_criterion_3_penalty_shrinks_the_parity_gap_at_every_count():
 
 @pytest.mark.slow
 def test_criterion_4_solver_matches_the_exhaustive_oracle():
-    grid = GridSpec(intercept_low=-3.0, intercept_high=3.0, weight_low=-1.5,
-                    weight_high=1.5, intercept_steps=600, weight_steps=300)
+    grid = solver_misses.GRID
     b_axis, w_axis = grid.intercept_axis(), grid.weight_axis()
-    rng = np.random.default_rng(42)
     cfg = ExplainConfig()
     fair = FairConfig(lambda2=5.0)
-    kc = KernelConfig(n_samples=200)
     overshoot = []
     t0 = time.monotonic()
-    for i in range(50):
-        n = 300
-        g = (rng.random(n) < 0.5).astype(float)
-        x = rng.normal(0.0, 1.0, n) + 0.5 * g
-        ds = TabularDataset(("g", "x"), np.column_stack([g, x]), group_col=0)
-        f = LogisticModel(rng.uniform(-3.0, 3.0, 2), rng.uniform(-1.0, 1.0))
-        center = ds.rows[int(rng.integers(n))]
-        nb = sample_two_group_neighborhood(center, feature_stats(ds), f, kc,
-                                           (1000 + i,))
+    for _, nb in solver_misses.instances(42):
         e = fair_explain_neighborhood(nb, cfg, fair)
         o = grid_search_oracle(nb, cfg, fair, grid=grid)
         # The optimum must sit strictly inside the grid box, otherwise

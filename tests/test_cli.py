@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fairlime import (ExplainConfig, FairConfig, ThresholdOracle, cli,
-                      experiments, load_csv, sweep_fair_config)
+                      experiments, load_csv, surrogate, sweep_fair_config)
 from fairlime.cli import main
 
 from conftest import OneNaNScore
@@ -332,6 +332,24 @@ def test_a_budget_above_the_feature_count_fails_before_sampling(
     assert (capsys.readouterr().err
             == "error: sparsity budget 9 exceeds 3 features\n")
     assert not out.exists() and not dump.exists()
+
+
+def test_boundary_budget_above_the_feature_count_fails_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    samples = []
+    sample = surrogate.sample_neighborhood
+
+    def counting(*args):
+        samples.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(surrogate, "sample_neighborhood", counting)
+    out = tmp_path / "b.json"
+    assert main(["boundary", "--seeds", "5", "--n", "200", "--k", "9",
+                 "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "error: sparsity budget 9 exceeds 3 features\n")
+    assert samples == [] and not out.exists()
 
 
 def test_sweep_is_byte_reproducible(data_csv, tmp_path):

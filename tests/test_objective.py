@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,12 +391,12 @@ def test_oracle_names_resolve_from_the_package_and_the_module():
     assert fairlime.grid_search_oracle is objective.grid_search_oracle
 
 
-def _grid_minimum(problem, b_axis, w_axis):
+def _grid_minimum(problem, b_axis, w_axes):
     """The lattice point [intercept, weights] with the lowest hard
     objective on ``problem``, found by scoring every cell, block by
     block. Kept as the exhaustive reference that oracle.lattice_minimum
     must match bit for bit."""
-    combos = oracle.weight_combinations(w_axis, problem.cols.shape[1])
+    combos = oracle.weight_combinations(w_axes)
     best = None
     for lo in range(0, combos.shape[0], oracle._GRID_CHUNK):
         w_chunk = combos[lo:lo + oracle._GRID_CHUNK]
@@ -460,10 +461,11 @@ def lattice_cases(draw):
 def test_property_pruned_oracle_equals_the_exhaustive_scan(case):
     nb, cfg, fair, grid = case
     e = grid_search_oracle(nb, cfg, fair, grid=grid)
+    k = cfg.n_features
     problem = _FairProblem(nb, e.active, fair.lambda2, fair.tau)
     reference = objective._assemble(problem,
                                     _grid_minimum(problem, grid.intercept_axis(),
-                                                  grid.weight_axis()),
+                                                  [grid.weight_axis()] * k),
                                     problem.solve(), cfg, fair)
     assert e.intercept.hex() == reference.intercept.hex()
     assert e.coefficients.tobytes() == reference.coefficients.tobytes()
@@ -487,8 +489,9 @@ def test_pruned_oracle_scores_a_column_whose_bound_ties_the_incumbent(
     monkeypatch.setattr(oracle, "_PRUNE_MARGIN", margin)
     problem = _FairProblem(nb, (1,), 0.0, 0.05)
     beta = oracle.lattice_minimum(problem, grid.intercept_axis(),
-                                  grid.weight_axis())
-    exhaustive = _grid_minimum(problem, grid.intercept_axis(), grid.weight_axis())
+                                  [grid.weight_axis()])
+    exhaustive = _grid_minimum(problem, grid.intercept_axis(),
+                               [grid.weight_axis()])
     assert beta.tolist() == [0.5, 0.0]
     assert [v.hex() for v in beta] == [v.hex() for v in exhaustive]
 
@@ -499,14 +502,14 @@ def test_pruning_keeps_bounds_within_the_rounding_margin():
     cutoff = oracle._cutoff(incumbent, b_axis)
     bounds = np.array([incumbent, incumbent + 1e-12, cutoff,
                        np.nextafter(cutoff, np.inf), incumbent + 1e-6])
-    kept = oracle._survivors(bounds, incumbent, b_axis)
+    kept = bounds <= cutoff
     assert kept.tolist() == [True, True, True, False, False]
 
 
 def test_covariance_bounds_match_the_block_moment_bounds():
     nb = two_feature_neighborhood()
     problem = FitProblem(nb, (0, 1))
-    combos = oracle.weight_combinations(np.linspace(-1.5, 1.5, 101), 2)
+    combos = oracle.weight_combinations([np.linspace(-1.5, 1.5, 101)] * 2)
     m1, m2 = oracle.block_moments(problem, problem.cols @ combos.T)
     np.testing.assert_allclose(oracle._covariance_bounds(problem, combos),
                                m2 - m1 * m1, rtol=1e-9, atol=1e-12)
@@ -519,54 +522,23 @@ def test_pruned_oracle_is_exact_whatever_columns_come_first(monkeypatch):
     grid = GridSpec(intercept_low=-2.0, intercept_high=2.0, weight_low=-1.0,
                     weight_high=1.0, intercept_steps=40, weight_steps=80)
     problem = _FairProblem(nb, (0, 1), 5.0, 0.05)
-    exhaustive = _grid_minimum(problem, grid.intercept_axis(), grid.weight_axis())
+    w_axes = [grid.weight_axis()] * 2
+    exhaustive = _grid_minimum(problem, grid.intercept_axis(), w_axes)
     bounds = oracle._covariance_bounds
     monkeypatch.setattr(oracle, "_covariance_bounds",
                         lambda problem, combos: -bounds(problem, combos))
-    beta = oracle.lattice_minimum(problem, grid.intercept_axis(),
-                                  grid.weight_axis())
+    beta = oracle.lattice_minimum(problem, grid.intercept_axis(), w_axes)
     assert [v.hex() for v in beta] == [v.hex() for v in exhaustive]
 
 
-# Plain fits whose largest weight is 0.4, 0.9 and 2.4: the coarse
-# lattice spans twice that, at least 1.5, so the last two have 73 and
-# 193 weights per axis, more combinations than one block.
-@pytest.mark.parametrize("v_beta", [[0.3, 0.4, -0.1], [-1.2, 0.9, 0.4],
-                                    [0.5, -2.4, 0.1]])
-def test_coarse_seed_scan_equals_the_exhaustive_scan(monkeypatch, v_beta):
-    nb = two_feature_neighborhood(model=LogisticModel(np.array([1.2, -0.4]), 1.0))
-    problem = _FairProblem(nb, (0, 1), 5.0, 0.05)
-    scans, scored = [], []
-    scan, score = oracle.lattice_minimum, oracle._score
-
-    def recording_scan(problem, b_axis, w_axis):
-        scans.append((b_axis, w_axis))
-        return scan(problem, b_axis, w_axis)
-
-    def counting_score(problem, b_axis, combos, m1, m2, idx, best):
-        scored.append((idx.size, combos.shape[0]))
-        return score(problem, b_axis, combos, m1, m2, idx, best)
-
-    monkeypatch.setattr(objective, "lattice_minimum", recording_scan)
-    monkeypatch.setattr(oracle, "_score", counting_score)
-    seed = objective._coarse_scan_seed(problem, np.array(v_beta))
-    (b_axis, w_axis), = scans
-    exhaustive = _grid_minimum(problem, b_axis, w_axis)
-    assert [v.hex() for v in seed] == [v.hex() for v in exhaustive]
-    (rest, combos), = scored
-    if max(abs(w) for w in v_beta[1:]) > 0.75:
-        assert combos > oracle._GRID_CHUNK
-        assert rest < combos - oracle._GRID_CHUNK
-    else:
-        assert combos <= oracle._GRID_CHUNK
-
-
-# A black box that follows the group bit gives a plain group weight near
-# 1, so its coarse lattice holds more combinations than one block.
+# The certified scan with the exhaustive scan in place of the pruned
+# one. Under the third black box the pick's objective sits far enough
+# above the least-squares fidelity that its box holds 4284 weight
+# combinations, more than one block, so columns get pruned.
 @pytest.mark.parametrize("model, n_features, seed, wide", [
     (None, 2, 3, False),
     (LogisticModel(np.array([1.2, -0.4]), 1.0), 2, 4, False),
-    (LogisticModel(np.array([8.0, 0.0]), -4.0), 2, 5, True),
+    (LogisticModel(np.array([8.0, 1.0]), -9.0), 2, 5, True),
     (LogisticModel(np.array([1.2, -0.4]), 1.0), 1, 6, False),
 ])
 def test_fair_fit_is_bit_equal_under_the_exhaustive_seed_scan(
@@ -578,11 +550,11 @@ def test_fair_fit_is_bit_equal_under_the_exhaustive_seed_scan(
     fast = fair_explain_neighborhood(nb, cfg, fair)
     lattices = []
 
-    def reference(problem, b_axis, w_axis):
-        lattices.append(w_axis.size ** problem.cols.shape[1])
-        return _grid_minimum(problem, b_axis, w_axis)
+    def reference(problem, b_axis, w_axes):
+        lattices.append(math.prod(axis.size for axis in w_axes))
+        return _grid_minimum(problem, b_axis, w_axes)
 
-    monkeypatch.setattr(objective, "lattice_minimum", reference)
+    monkeypatch.setattr(oracle, "lattice_minimum", reference)
     slow = fair_explain_neighborhood(nb, cfg, fair)
     assert len(lattices) == 1
     assert (lattices[0] > oracle._GRID_CHUNK) == wide
@@ -590,6 +562,70 @@ def test_fair_fit_is_bit_equal_under_the_exhaustive_seed_scan(
     assert fast.coefficients.tobytes() == slow.coefficients.tobytes()
     assert (json.dumps(fast.as_dict(), sort_keys=True)
             == json.dumps(slow.as_dict(), sort_keys=True))
+
+
+def _lattice_box(low, high):
+    """Axes of the 0.01 lattice over the integer index ranges
+    [low_j, high_j], built as oracle.certified_minimum builds them."""
+    return [np.arange(lo, hi + 1.0) / 100.0 for lo, hi in zip(low, high)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_cases(), st.sampled_from((0.0, 1e-12, 1e-4, 1e-2)))
+def test_property_certified_scan_finds_every_better_lattice_point(case, slack):
+    # The incumbent sits ``slack`` above the best cell of a 61-point box
+    # around the least-squares fit. Whenever the exhaustive scan of a box
+    # that also covers the certified one finds a cell below the
+    # incumbent, the certified scan returns that cell.
+    nb, cfg, fair, _ = case
+    problem = _FairProblem(nb, tuple(range(cfg.n_features)), fair.lambda2,
+                           fair.tau)
+    center = np.round(100.0 * problem.solve())
+    start = _lattice_box(center - 30.0, center + 30.0)
+    incumbent = problem.hard_value(_grid_minimum(problem, start[0], start[1:])) + slack
+    scanned = []
+    scan = oracle.lattice_minimum
+
+    def recording(problem, b_axis, w_axes):
+        scanned.append([b_axis, *w_axes])
+        return scan(problem, b_axis, w_axes)
+
+    with mock.patch.object(oracle, "lattice_minimum", recording):
+        certified = oracle.certified_minimum(problem, incumbent)
+    assume(certified is not None)
+    (axes,) = scanned
+    low = [min(a[0], s[0]) * 100.0 - 2.0 for a, s in zip(axes, start)]
+    high = [max(a[-1], s[-1]) * 100.0 + 2.0 for a, s in zip(axes, start)]
+    wide = _lattice_box(np.round(low), np.round(high))
+    assume(math.prod(a.size for a in wide) <= 300_000)
+    exhaustive = _grid_minimum(problem, wide[0], wide[1:])
+    if problem.hard_value(exhaustive) < incumbent:
+        assert [v.hex() for v in certified] == [v.hex() for v in exhaustive]
+
+
+def test_certified_scan_skips_a_constant_column():
+    # x is constant, so the sampler spreads it only by STD_FLOOR, the
+    # Gram matrix of [1, g, x] is all but singular and the box around
+    # the incumbent would hold far more cells than the cap: the fit must
+    # skip the scan, not try to allocate it, and still not lose to the
+    # plain fit on the hard objective.
+    rng = np.random.default_rng(0)
+    g = (rng.random(300) < 0.5).astype(float)
+    ds = TabularDataset(("g", "x"), np.column_stack([g, np.full(300, 5.0)]),
+                        group_col=0)
+    f = ThresholdOracle(group_col=0, x1_col=1)
+    cfg, fair = ExplainConfig(), FairConfig()
+    for seed in range(3):
+        nb = sample_two_group_neighborhood(ds.rows[0], feature_stats(ds), f,
+                                           KernelConfig(n_samples=200), seed)
+        scans = []
+        with mock.patch.object(oracle, "lattice_minimum",
+                               lambda *args: scans.append(args)):
+            e = fair_explain_neighborhood(nb, cfg, fair)
+        plain = explain_neighborhood(nb, cfg)
+        assert e.active == plain.active == (0, 1)
+        assert scans == []
+        assert e.objective <= plain.objective + fair.lambda2 * plain.psi_hard
 
 
 def _line_minimum_reference(problem, design, beta, direction):
@@ -753,7 +789,7 @@ def fit_cases(draw):
     """A sampled two-group neighborhood of at most 300 perturbations
     around a fig-one point, scored by the threshold oracle or a random
     logistic black box, with a lean penalized config. One or two active
-    features with polish directions take the coarse-seed path."""
+    features add the certified lattice scan."""
     if draw(st.booleans()):
         f = ThresholdOracle()
     else:

@@ -263,13 +263,13 @@ def test_plain_fit_solves_each_least_squares_system_once(monkeypatch):
     # winner is the reported fit, not solved again, also where the
     # penalized fit starts from it.
     calls = []
-    solve = surrogate.weighted_least_squares
+    solve = surrogate.FitProblem.solve
 
-    def counting(columns, targets, norm_weights):
-        calls.append(columns.shape[1])
-        return solve(columns, targets, norm_weights)
+    def counting(problem):
+        calls.append(problem.cols.shape[1])
+        return solve(problem)
 
-    monkeypatch.setattr(surrogate, "weighted_least_squares", counting)
+    monkeypatch.setattr(surrogate.FitProblem, "solve", counting)
     rng = np.random.default_rng(4)
     g = (rng.random(80) < 0.5).astype(float)
     samples = np.column_stack([g, rng.standard_normal((80, 2))])
