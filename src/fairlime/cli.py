@@ -79,8 +79,6 @@ def _add_fair_flags(p: argparse.ArgumentParser, defaults: FairConfig) -> None:
                    help=f"price per active feature (default {lambda1})")
     p.add_argument("--tau", type=float, default=defaults.tau,
                    help="sigmoid temperature for the smoothed penalty")
-    p.add_argument("--restarts", type=int, default=defaults.restarts)
-    p.add_argument("--steps", type=int, default=defaults.steps)
     p.add_argument("--polish-rounds", type=int, default=defaults.polish_rounds)
     p.add_argument("--polish-dirs", type=int, default=defaults.polish_dirs,
                    help="random polish directions per round (0: coordinate "
@@ -173,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=200,
                    help="fixed evenly spaced subsample size (default 200)")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for optimizer restart noise")
+                   help="seed for descent start noise and polish directions")
     _add_fair_flags(p, sweep_fair_config())
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -303,8 +301,6 @@ def _fair_config(args, lambda2: float) -> FairConfig:
     return FairConfig(
         lambda2=lambda2,
         tau=args.tau,
-        restarts=args.restarts,
-        steps=args.steps,
         polish_rounds=args.polish_rounds,
         polish_dirs=args.polish_dirs,
         seed=args.seed,

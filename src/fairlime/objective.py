@@ -29,8 +29,10 @@ from .surrogate import (ExplainConfig, Explanation, FitProblem,
 ARMIJO_C1 = 1e-4
 # First trial step of the descent's backtracking line search.
 INITIAL_STEP = 1.0
-# Scale of the Gaussian noise that moves restarts 1.. off the plain fit.
+# Scale of the Gaussian noise that moves the second descent start.
 RESTART_NOISE = 0.1
+# Most steps of each of the two descents.
+DESCENT_STEPS = 120
 MAX_BACKTRACKS = 60
 MAX_STEP = 1e6
 GRAD_TOL = 1e-8
@@ -47,20 +49,18 @@ class FairConfig:
 
     ``lambda2`` prices the parity gap; 0 turns the penalty off and the
     solve reduces exactly to the plain surrogate. ``tau`` is the sigmoid
-    temperature on the score scale. One descent restart starts at the
-    plain least-squares solution, the other ``restarts - 1`` at noisy
-    copies of it (scale ``RESTART_NOISE``). Every descent result then
-    gets ``polish_rounds`` rounds of exact line minimization of the hard
-    objective along the axes and ``polish_dirs`` random directions per
-    round (0: axes only, cheaper, but unable to cross cell corners of
-    the piecewise-constant parity term). Fits with up to two active
-    features also scan a certified lattice region, whatever the knobs.
+    temperature on the score scale. The descent is fixed: from the plain
+    fit and from one noisy copy of it (drawn from ``seed``), at most
+    ``DESCENT_STEPS`` steps each. Its results get ``polish_rounds``
+    rounds of exact line minimization of the hard objective along the
+    axes and ``polish_dirs`` random directions per round (0: axes only,
+    cheaper, but unable to cross cell corners of the piecewise-constant
+    parity term). Fits with up to two active features also scan a
+    certified lattice region, whatever the knobs.
     """
 
     lambda2: float = 5.0
     tau: float = 0.05
-    restarts: int = 5
-    steps: int = 300
     polish_rounds: int = 3
     polish_dirs: int = 16
     seed: int = 0
@@ -70,10 +70,6 @@ class FairConfig:
             raise ValueError("lambda2 must be finite and nonnegative")
         if not 0.0 < self.tau < np.inf:
             raise ValueError("tau must be finite and positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
         if self.polish_rounds < 0:
             raise ValueError("polish_rounds must be nonnegative")
         if self.polish_dirs < 0:
@@ -141,10 +137,11 @@ def smoothed_objective_gradient(beta, nb: Neighborhood, active, lambda2: float,
     return problem.smooth_gradient(np.asarray(beta, dtype=float))
 
 
-def _descend(problem: _FairProblem, start: np.ndarray, steps: int,
-             restart_index: int) -> tuple[np.ndarray, float]:
-    """Gradient descent with backtracking line search; monotone by
-    construction, so the result never scores worse than the start."""
+def _descend(problem: _FairProblem, start: np.ndarray,
+             restart_index: int) -> np.ndarray:
+    """At most DESCENT_STEPS steps of gradient descent with backtracking
+    line search; monotone by construction, so the result never scores
+    worse than the start."""
     beta = np.array(start, dtype=float)
     value = problem.smooth_value(beta)
     if not np.isfinite(value):
@@ -152,7 +149,7 @@ def _descend(problem: _FairProblem, start: np.ndarray, steps: int,
             "non-finite objective at descent start", restart_index=restart_index
         )
     step = INITIAL_STEP
-    for _ in range(steps):
+    for _ in range(DESCENT_STEPS):
         grad = problem.smooth_gradient(beta)
         gsq = float(grad @ grad)
         if not np.isfinite(gsq):
@@ -176,7 +173,7 @@ def _descend(problem: _FairProblem, start: np.ndarray, steps: int,
         if improvement <= REL_IMPROVE_TOL * max(1.0, abs(value)):
             break
         step = min(step * 2.0, MAX_STEP)
-    return beta, value
+    return beta
 
 
 # Offsets the polish random stream from the restart-noise stream.
@@ -395,9 +392,9 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
 
     Greedy selection on the penalized problem gives the plain fit. With
     lambda2 = 0 the plain solution is returned verbatim, bit for bit.
-    Otherwise multi-restart descent on the smoothed objective runs from
-    the plain solution (restart 0) and noisy copies of it; the plain
-    solution and every descent result each get an exact line-search
+    Otherwise descent on the smoothed objective runs from the plain
+    solution (restart 0) and from one noisy copy of it (restart 1); the
+    plain solution and both descent results each get an exact line-search
     polish against the hard objective, and the polished point with the
     lowest hard objective is picked. For up to two active features the
     best cell of the 0.01 lattice that could beat the pick
@@ -416,14 +413,10 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
     if fair.lambda2 == 0.0:
         return _assemble(problem, v_beta, v_beta, cfg, fair)
     rng = np.random.default_rng(fair.seed)
+    noisy = v_beta + RESTART_NOISE * rng.standard_normal(v_beta.shape)
     design = np.column_stack([np.ones(problem.cols.shape[0]), problem.cols])
-    starts = [v_beta]
-    for r in range(fair.restarts):
-        start = v_beta
-        if r > 0:
-            start = v_beta + RESTART_NOISE * rng.standard_normal(v_beta.shape)
-        beta_r, _ = _descend(problem, start, fair.steps, r)
-        starts.append(beta_r)
+    starts = [v_beta] + [_descend(problem, start, r)
+                         for r, start in enumerate((v_beta, noisy))]
     candidates = [
         _polish(problem, design, s, v_beta, fair.polish_rounds,
                 fair.polish_dirs, (fair.seed, _POLISH_STREAM, i))

@@ -39,8 +39,12 @@ _GRID_CHUNK = 4096
 _PRUNE_MARGIN = 1e-9
 
 # The most cells a certified scan may hold, 201 per axis of [intercept,
-# w1, w2]; only a (nearly) singular Gram matrix gives a wider box.
+# w1, w2], and the most weight combinations, 201 per weight axis:
+# lattice_minimum keeps about 70 bytes per combination however few
+# intercepts there are. Only a (nearly) singular Gram matrix gives a
+# wider box.
 _MAX_CERTIFIED_CELLS = 201 ** 3
+_MAX_CERTIFIED_COMBINATIONS = 201 ** 2
 
 
 def weight_combinations(w_axes) -> np.ndarray:
@@ -200,7 +204,8 @@ def certified_minimum(problem: FitProblem, incumbent: float) -> np.ndarray | Non
     """The best point of the 0.01 lattice anchored at 0, whenever its
     hard objective is below ``incumbent``; None, scanning nothing, where
     the weighted Gram matrix G of [1, cols] is singular or the box below
-    would hold more than _MAX_CERTIFIED_CELLS cells.
+    would hold more than _MAX_CERTIFIED_CELLS cells or more than
+    _MAX_CERTIFIED_COMBINATIONS weight combinations.
 
     With v the undamped least-squares fit and F its fidelity, fidelity
     is exactly F + (beta - v)' G (beta - v) and the penalty is
@@ -221,8 +226,10 @@ def certified_minimum(problem: FitProblem, incumbent: float) -> np.ndarray | Non
         half = np.sqrt((_cutoff(incumbent, np.array([b_max])) - floor) * diag)
         low = np.floor(100.0 * (center - half))
         high = np.ceil(100.0 * (center + half))
-        cells = np.prod(high - low + 1.0)
-    if not cells <= _MAX_CERTIFIED_CELLS:  # also a NaN count
+        sizes = high - low + 1.0
+        cells, combinations = np.prod(sizes), np.prod(sizes[1:])
+    if not (cells <= _MAX_CERTIFIED_CELLS  # also NaN counts
+            and combinations <= _MAX_CERTIFIED_COMBINATIONS):
         return None
     b_axis, *w_axes = (np.arange(lo, hi + 1.0) / 100.0
                        for lo, hi in zip(low, high))

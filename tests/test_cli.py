@@ -14,8 +14,7 @@ from fairlime.cli import main
 
 from conftest import OneNaNScore
 
-LEAN = ["--restarts", "2", "--steps", "120", "--polish-rounds", "1",
-        "--polish-dirs", "0"]
+LEAN = ["--polish-rounds", "1", "--polish-dirs", "0"]
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +370,20 @@ def test_default_flags_build_the_library_default_configs(command, extra,
          *extra])
     assert cli._fair_config(args, args.lambda2) == expected
     assert args.lambda1 == ExplainConfig().lambda1
+
+
+@pytest.mark.parametrize("build, flag, value", [
+    (explain_args, "--restarts", "2"),
+    (sweep_args, "--steps", "120"),
+])
+def test_removed_descent_flags_are_usage_errors(data_csv, tmp_path, capsys,
+                                                build, flag, value):
+    # Every fit runs one fixed descent schedule; the old knobs must fail
+    # loudly rather than be ignored.
+    out = tmp_path / "o.json"
+    assert main(build(data_csv, str(out), extra=[flag, value])) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_boundary_reports_the_majority_pull(tmp_path):

@@ -107,10 +107,6 @@ def test_fair_config_validation():
         with pytest.raises(ValueError, match="tau must be finite"):
             FairConfig(tau=bad)
     with pytest.raises(ValueError):
-        FairConfig(restarts=0)
-    with pytest.raises(ValueError):
-        FairConfig(steps=0)
-    with pytest.raises(ValueError):
         FairConfig(polish_rounds=-1)
     with pytest.raises(ValueError):
         FairConfig(polish_dirs=-1)
@@ -202,8 +198,8 @@ def test_fair_fit_never_loses_to_plain_on_hard_objective():
     for seed in range(5):
         nb = oracle_neighborhood(seed=seed, x1=5.2 + 0.2 * seed)
         cfg = ExplainConfig()
-        fair_cfg = FairConfig(lambda2=5.0, restarts=2, steps=120,
-                              polish_rounds=1, polish_dirs=0, seed=seed)
+        fair_cfg = FairConfig(lambda2=5.0, polish_rounds=1, polish_dirs=0,
+                              seed=seed)
         plain = explain_neighborhood(nb, cfg)
         fair = fair_explain_neighborhood(nb, cfg, fair_cfg)
         plain_hard = (plain.loss + cfg.lambda1 * len(plain.active)
@@ -214,8 +210,8 @@ def test_fair_fit_never_loses_to_plain_on_hard_objective():
 def test_fair_fit_deterministic():
     nb = oracle_neighborhood(seed=9)
     cfg = ExplainConfig()
-    fair_cfg = FairConfig(lambda2=5.0, restarts=3, steps=150,
-                          polish_rounds=2, polish_dirs=4, seed=21)
+    fair_cfg = FairConfig(lambda2=5.0, polish_rounds=2, polish_dirs=4,
+                          seed=21)
     a = fair_explain_neighborhood(nb, cfg, fair_cfg)
     b = fair_explain_neighborhood(nb, cfg, fair_cfg)
     assert a.intercept == b.intercept
@@ -226,8 +222,8 @@ def test_fair_fit_deterministic():
 def test_fair_objective_prices_the_hard_gap():
     nb = oracle_neighborhood(seed=2)
     cfg = ExplainConfig(lambda1=0.03)
-    fair_cfg = FairConfig(lambda2=2.0, restarts=2, steps=120,
-                          polish_rounds=1, polish_dirs=0, seed=0)
+    fair_cfg = FairConfig(lambda2=2.0, polish_rounds=1, polish_dirs=0,
+                          seed=0)
     e = fair_explain_neighborhood(nb, cfg, fair_cfg)
     assert e.objective == e.loss + 0.03 * len(e.active) + 2.0 * e.psi_hard
     assert parity_mismatch(e, nb).mismatch == e.psi_hard
@@ -236,8 +232,7 @@ def test_fair_objective_prices_the_hard_gap():
 def test_fair_explanation_serializes_with_penalty_fields():
     nb = oracle_neighborhood(seed=2)
     e = fair_explain_neighborhood(nb, ExplainConfig(),
-                                  FairConfig(lambda2=5.0, restarts=2,
-                                             steps=120, polish_rounds=1,
+                                  FairConfig(lambda2=5.0, polish_rounds=1,
                                              polish_dirs=0, seed=0))
     doc = e.as_dict()
     assert doc["tau"] == 0.05
@@ -260,8 +255,8 @@ def test_mean_parity_gap_monotone_in_lambda2():
         for s in range(20):
             x = np.array([1.0, 2.0, 4.5 + 0.1 * s])
             nb = sample_two_group_neighborhood(x, stats, f, kc, (11, s))
-            fair_cfg = FairConfig(lambda2=lam, restarts=2, steps=120,
-                                  polish_rounds=1, polish_dirs=4, seed=s)
+            fair_cfg = FairConfig(lambda2=lam, polish_rounds=1,
+                                  polish_dirs=4, seed=s)
             vals.append(fair_explain_neighborhood(nb, cfg, fair_cfg).psi_hard)
         means[lam] = float(np.mean(vals))
     assert means[0.0] >= means[0.5] >= means[5.0]
@@ -272,7 +267,7 @@ def test_divergent_descent_reports_restart_index():
     nb = oracle_neighborhood(seed=1)
     problem = _FairProblem(nb, (0, 1, 2), 5.0, 0.05)
     with pytest.raises(OptimizationError) as info:
-        _descend(problem, np.array([np.nan, 0.0, 0.0, 0.0]), 10, 3)
+        _descend(problem, np.array([np.nan, 0.0, 0.0, 0.0]), 3)
     assert info.value.restart_index == 3
 
 
@@ -533,7 +528,7 @@ def test_pruned_oracle_is_exact_whatever_columns_come_first(monkeypatch):
 
 # The certified scan with the exhaustive scan in place of the pruned
 # one. Under the third black box the pick's objective sits far enough
-# above the least-squares fidelity that its box holds 4284 weight
+# above the least-squares fidelity that its box holds 4340 weight
 # combinations, more than one block, so columns get pruned.
 @pytest.mark.parametrize("model, n_features, seed, wide", [
     (None, 2, 3, False),
@@ -545,8 +540,7 @@ def test_fair_fit_is_bit_equal_under_the_exhaustive_seed_scan(
         monkeypatch, model, n_features, seed, wide):
     nb = two_feature_neighborhood(seed=seed, model=model)
     cfg = ExplainConfig(n_features=n_features)
-    fair = FairConfig(lambda2=5.0, restarts=3, steps=150, polish_rounds=2,
-                      polish_dirs=4, seed=seed)
+    fair = FairConfig(lambda2=5.0, polish_rounds=2, polish_dirs=4, seed=seed)
     fast = fair_explain_neighborhood(nb, cfg, fair)
     lattices = []
 
@@ -626,6 +620,32 @@ def test_certified_scan_skips_a_constant_column():
         assert e.active == plain.active == (0, 1)
         assert scans == []
         assert e.objective <= plain.objective + fair.lambda2 * plain.psi_hard
+
+
+def test_certified_scan_skips_a_box_with_too_many_weight_combinations(
+        monkeypatch):
+    # Two columns with a tiny spread beside an intercept pinned to a few
+    # lattice values: the box stays under the cell cap, but it holds
+    # more weight combinations than lattice_minimum may keep in memory,
+    # so the scan is skipped before anything is allocated.
+    rng = np.random.default_rng(0)
+    g = (np.arange(200) % 2).astype(float)
+    samples = np.column_stack([g, 0.002 * rng.standard_normal((200, 2))])
+    nb = hand_neighborhood(samples, rng.uniform(0.2, 0.8, 200))
+    problem = _FairProblem(nb, (1, 2), 5.0, 0.05)
+    incumbent = problem.loss(problem.scores(problem.solve())) + 1.6e-5
+    scans = []
+    monkeypatch.setattr(oracle, "lattice_minimum", lambda p, b_axis, w_axes:
+                        scans.append((b_axis.size,
+                                      math.prod(a.size for a in w_axes))))
+    assert oracle.certified_minimum(problem, incumbent) is None
+    assert scans == []
+    # Without the combination cap the same box would be scanned.
+    monkeypatch.setattr(oracle, "_MAX_CERTIFIED_COMBINATIONS", math.inf)
+    oracle.certified_minimum(problem, incumbent)
+    ((intercepts, combinations),) = scans
+    assert intercepts <= 3 and combinations > 201 ** 2
+    assert intercepts * combinations <= oracle._MAX_CERTIFIED_CELLS
 
 
 def _line_minimum_reference(problem, design, beta, direction):
@@ -773,8 +793,7 @@ def test_fair_fit_is_bit_equal_under_the_reference_line_search(
     nb = sample_two_group_neighborhood(x, stats, f,
                                        KernelConfig(n_samples=n_samples), seed)
     cfg = ExplainConfig()
-    fair = FairConfig(lambda2=5.0, restarts=3, steps=150, polish_rounds=3,
-                      polish_dirs=8, seed=seed)
+    fair = FairConfig(lambda2=5.0, polish_rounds=3, polish_dirs=8, seed=seed)
     fast = fair_explain_neighborhood(nb, cfg, fair)
     monkeypatch.setattr(objective, "_line_minimum", _line_minimum_reference)
     reference = fair_explain_neighborhood(nb, cfg, fair)
@@ -801,8 +820,7 @@ def fit_cases(draw):
         draw(st.integers(0, 2**16)))
     cfg = ExplainConfig(n_features=draw(st.integers(1, 3)))
     fair = FairConfig(lambda2=draw(st.sampled_from((0.5, 5.0, 50.0))),
-                      restarts=2, steps=60, polish_rounds=1,
-                      polish_dirs=draw(st.sampled_from((0, 4))),
+                      polish_rounds=1, polish_dirs=draw(st.sampled_from((0, 4))),
                       seed=draw(st.integers(0, 100)))
     return nb, cfg, fair
 
