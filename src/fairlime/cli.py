@@ -77,12 +77,9 @@ def _add_fair_flags(p: argparse.ArgumentParser, defaults: FairConfig) -> None:
     lambda1 = ExplainConfig().lambda1
     p.add_argument("--lambda1", type=float, default=lambda1,
                    help=f"price per active feature (default {lambda1})")
-    p.add_argument("--tau", type=float, default=defaults.tau,
-                   help="sigmoid temperature for the smoothed penalty")
-    p.add_argument("--polish-rounds", type=int, default=defaults.polish_rounds)
     p.add_argument("--polish-dirs", type=int, default=defaults.polish_dirs,
-                   help="random polish directions per round (0: coordinate "
-                        "sweeps only)")
+                   help="random directions of the polish pass (default "
+                        f"{defaults.polish_dirs}; 0: coordinate axes only)")
     p.add_argument("--k", type=int, default=None,
                    help="sparsity budget (default: all features if at most "
                         "3, else 5)")
@@ -300,8 +297,6 @@ def cmd_train(args) -> int:
 def _fair_config(args, lambda2: float) -> FairConfig:
     return FairConfig(
         lambda2=lambda2,
-        tau=args.tau,
-        polish_rounds=args.polish_rounds,
         polish_dirs=args.polish_dirs,
         seed=args.seed,
     )

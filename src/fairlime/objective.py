@@ -8,7 +8,7 @@ preservation penalty. The full objective on a fixed active set is
 where psi is the absolute gap between the black box's demographic
 parity over the neighborhood and the thresholded surrogate's. psi is a
 step function of the surrogate parameters, so gradient descent runs on
-a sigmoid-relaxed psi (temperature tau) and an exact coordinate polish
+a sigmoid-relaxed psi (temperature TAU) and an exact line-search polish
 then attacks the thresholded objective directly. User-facing output
 always reports the hard psi; the smooth proxy appears only as a
 diagnostic.
@@ -33,6 +33,9 @@ INITIAL_STEP = 1.0
 RESTART_NOISE = 0.1
 # Most steps of each of the two descents.
 DESCENT_STEPS = 120
+# Temperature of the sigmoid that relaxes the parity gap, on the score
+# scale.
+TAU = 0.05
 MAX_BACKTRACKS = 60
 MAX_STEP = 1e6
 GRAD_TOL = 1e-8
@@ -48,32 +51,29 @@ class FairConfig:
     """Knobs for the parity-preservation penalty and its optimizer.
 
     ``lambda2`` prices the parity gap; 0 turns the penalty off and the
-    solve reduces exactly to the plain surrogate. ``tau`` is the sigmoid
-    temperature on the score scale. The descent is fixed: from the plain
-    fit and from one noisy copy of it (drawn from ``seed``), at most
-    ``DESCENT_STEPS`` steps each. Its results get ``polish_rounds``
-    rounds of exact line minimization of the hard objective along the
-    axes and ``polish_dirs`` random directions per round (0: axes only,
-    cheaper, but unable to cross cell corners of the piecewise-constant
-    parity term). Fits with up to two active features also scan a
-    certified lattice region, whatever the knobs.
+    solve reduces exactly to the plain surrogate. The rest of the solver
+    is fixed: descent on the parity gap relaxed at temperature ``TAU``
+    from the plain fit and from one noisy copy of it (drawn from
+    ``seed``), at most ``DESCENT_STEPS`` steps each, then one pass of
+    exact line minimization of the hard objective along the axes and,
+    when ``polish_dirs`` is positive, the direction to the plain fit
+    and ``polish_dirs`` random directions (0: axes only, cheaper, but
+    unable to cross cell corners of the piecewise-constant parity
+    term). Fits with up to two active features also scan a certified
+    lattice region, whatever the knobs.
     """
 
     lambda2: float = 5.0
-    tau: float = 0.05
-    polish_rounds: int = 3
-    polish_dirs: int = 16
+    polish_dirs: int = 48
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.lambda2 < np.inf:
             raise ValueError("lambda2 must be finite and nonnegative")
-        if not 0.0 < self.tau < np.inf:
-            raise ValueError("tau must be finite and positive")
-        if self.polish_rounds < 0:
-            raise ValueError("polish_rounds must be nonnegative")
         if self.polish_dirs < 0:
             raise ValueError("polish_dirs must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 class _FairProblem(FitProblem):
@@ -285,44 +285,39 @@ def _candidate_parity(problem: _FairProblem, base: np.ndarray,
 
 
 def _polish(problem: _FairProblem, design: np.ndarray, start: np.ndarray,
-            anchor: np.ndarray, rounds: int, extra_dirs: int, seed) -> np.ndarray:
+            anchor: np.ndarray, extra_dirs: int, seed) -> np.ndarray:
     """Polish a point by exact line minimization of the hard objective.
 
-    Each round sweeps the coordinate axes and, when ``extra_dirs`` is
-    positive, the direction toward ``anchor`` (the unconstrained
-    least-squares fit) plus ``extra_dirs`` random unit directions.
-    Coordinate sweeps alone stall on cell corners of the piecewise
-    constant parity term; oblique lines can cross them. A move needs
-    strict improvement of the exact objective, so the polish never
-    leaves its start worse.
+    One pass sweeps the coordinate axes and, when ``extra_dirs`` is
+    positive, then the direction from ``start`` toward ``anchor`` (the
+    plain least-squares fit) and ``extra_dirs`` random unit directions
+    drawn from ``seed``. Coordinate sweeps alone stall on cell corners
+    of the piecewise constant parity term; oblique lines can cross
+    them. A move needs strict improvement of the exact objective, so
+    the polish never leaves its start worse.
     """
     beta = np.array(start, dtype=float)
     best = problem.hard_value(beta)
     rng = np.random.default_rng(seed)
-    for _ in range(rounds):
-        directions = list(np.eye(beta.size))
-        if extra_dirs > 0:
-            gap = anchor - beta
-            norm = float(np.linalg.norm(gap))
-            if norm > 0.0:
-                directions.append(gap / norm)
-        for _ in range(extra_dirs):
-            vec = rng.standard_normal(beta.size)
-            norm = float(np.linalg.norm(vec))
-            if norm > 0.0:
-                directions.append(vec / norm)
-        moved = False
-        for direction in directions:
-            t = _line_minimum(problem, design, beta, direction)
-            if t == 0.0:
-                continue
-            cand = beta + t * direction
-            value = problem.hard_value(cand)
-            if value < best:
-                beta, best = cand, value
-                moved = True
-        if not moved:
-            break
+    directions = list(np.eye(beta.size))
+    if extra_dirs > 0:
+        gap = anchor - beta
+        norm = float(np.linalg.norm(gap))
+        if norm > 0.0:
+            directions.append(gap / norm)
+    for _ in range(extra_dirs):
+        vec = rng.standard_normal(beta.size)
+        norm = float(np.linalg.norm(vec))
+        if norm > 0.0:
+            directions.append(vec / norm)
+    for direction in directions:
+        t = _line_minimum(problem, design, beta, direction)
+        if t == 0.0:
+            continue
+        cand = beta + t * direction
+        value = problem.hard_value(cand)
+        if value < best:
+            beta, best = cand, value
     return beta
 
 
@@ -375,7 +370,7 @@ def _assemble(problem: _FairProblem, beta: np.ndarray, v_beta: np.ndarray,
     return FairExplanation(
         **problem.explanation_fields(beta, loss, dp_hard, cfg.lambda1,
                                      fair.lambda2),
-        tau=fair.tau,
+        tau=problem.tau,
         dp_blackbox=problem.dp_blackbox,
         dp_surrogate_hard=dp_hard,
         dp_surrogate_smooth=dp_smooth,
@@ -394,22 +389,22 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
     lambda2 = 0 the plain solution is returned verbatim, bit for bit.
     Otherwise descent on the smoothed objective runs from the plain
     solution (restart 0) and from one noisy copy of it (restart 1); the
-    plain solution and both descent results each get an exact line-search
-    polish against the hard objective, and the polished point with the
-    lowest hard objective is picked. For up to two active features the
-    best cell of the 0.01 lattice that could beat the pick
-    (oracle.certified_minimum), polished, replaces it if strictly
-    better. The polish accepts only strict improvements, so the fit
-    never loses to the plain solution on the reported objective.
-    The smooth proxy steers only the descent stage: at the hard
-    optimum, scores often sit close to the 0.5 threshold where the
+    plain solution and both descent results each get one pass of exact
+    line-search polish against the hard objective (_polish), and the
+    polished point with the lowest hard objective is picked. For up to
+    two active features the best cell of the 0.01 lattice that could
+    beat the pick (oracle.certified_minimum), polished, replaces it if
+    strictly better. The polish accepts only strict improvements, so
+    the fit never loses to the plain solution on the reported
+    objective. The smooth proxy steers only the descent stage: at the
+    hard optimum, scores often sit close to the 0.5 threshold where the
     sigmoid relaxation is far from saturated, so judging candidates by
     the smooth value would discard exactly the solutions the penalty
     is after.
     """
     budget = cfg.resolve_budget(nb.n_features)
     problem, v_beta, _ = greedy_feature_selection(
-        _FairProblem(nb, (), fair.lambda2, fair.tau), budget)
+        _FairProblem(nb, (), fair.lambda2, TAU), budget)
     if fair.lambda2 == 0.0:
         return _assemble(problem, v_beta, v_beta, cfg, fair)
     rng = np.random.default_rng(fair.seed)
@@ -418,16 +413,16 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
     starts = [v_beta] + [_descend(problem, start, r)
                          for r, start in enumerate((v_beta, noisy))]
     candidates = [
-        _polish(problem, design, s, v_beta, fair.polish_rounds,
-                fair.polish_dirs, (fair.seed, _POLISH_STREAM, i))
+        _polish(problem, design, s, v_beta, fair.polish_dirs,
+                (fair.seed, _POLISH_STREAM, i))
         for i, s in enumerate(starts)
     ]
     pick = min(candidates, key=problem.hard_value)
     cell = (certified_minimum(problem, problem.hard_value(pick))
             if len(problem.active) <= 2 else None)
     if cell is not None:
-        polished = _polish(problem, design, cell, v_beta, fair.polish_rounds,
-                           fair.polish_dirs, (fair.seed, _POLISH_STREAM, len(starts)))
+        polished = _polish(problem, design, cell, v_beta, fair.polish_dirs,
+                           (fair.seed, _POLISH_STREAM, len(starts)))
         pick = min([pick, polished], key=problem.hard_value)
     return _assemble(problem, pick, v_beta, cfg, fair)
 
@@ -498,7 +493,7 @@ def grid_search_oracle(nb: Neighborhood, cfg: ExplainConfig, fair: FairConfig,
     if budget > 2:
         raise DataError(f"grid oracle supports at most 2 active features, got {budget}")
     problem, v_beta, _ = greedy_feature_selection(
-        _FairProblem(nb, (), fair.lambda2, fair.tau), budget)
+        _FairProblem(nb, (), fair.lambda2, TAU), budget)
     beta = lattice_minimum(problem, grid.intercept_axis(),
                            [grid.weight_axis()] * budget)
     return _assemble(problem, beta, v_beta, cfg, fair)

@@ -223,8 +223,8 @@ class FitProblem:
         group size: bit for bit what metrics.demographic_parity returns
         for the thresholded scores."""
         positive = scores >= 0.5
-        return (np.count_nonzero(positive & self.mask1) / self.n1
-                - np.count_nonzero(positive & self.mask0) / self.n0)
+        return (int(np.count_nonzero(positive & self.mask1)) / self.n1
+                - int(np.count_nonzero(positive & self.mask0)) / self.n0)
 
     def explanation_fields(self, beta: np.ndarray, loss: float,
                            dp_hard: float | None, lambda1: float,

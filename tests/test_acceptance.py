@@ -264,7 +264,7 @@ def test_criterion_7_penalty_off_reduces_exactly_and_runs_repeat(tmp_path):
 
     data = str(tmp_path / "data.csv")
     assert main(["synth", "--out", data, "--n", "300", "--seed", "4"]) == 0
-    lean = ["--polish-rounds", "1", "--polish-dirs", "0"]
+    lean = ["--polish-dirs", "0"]
     commands = {
         "synth": lambda d: (["synth", "--out", str(d / "s.csv"), "--n",
                              "300", "--seed", "4"], [d / "s.csv"]),

@@ -14,7 +14,7 @@ from fairlime.cli import main
 
 from conftest import OneNaNScore
 
-LEAN = ["--polish-rounds", "1", "--polish-dirs", "0"]
+LEAN = ["--polish-dirs", "0"]
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,10 @@ def test_train_without_label_fails(data_csv, tmp_path, capsys):
 def test_explain_emits_a_full_report(data_csv, tmp_path, capsys):
     out = str(tmp_path / "e.json")
     assert main(explain_args(data_csv, out)) == 0
-    assert "psi_hard" in capsys.readouterr().out
+    summary = capsys.readouterr().out
+    assert "psi_hard" in summary
+    # The summary prints repr floats, never numpy scalar reprs.
+    assert "np.float64" not in summary
     with open(out, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc["row"] == 5
@@ -217,8 +220,6 @@ def test_audit_unknown_metric(data_csv, tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--lambda2", "nan", "lambda2 must be finite and nonnegative"),
     ("--lambda2", "inf", "lambda2 must be finite and nonnegative"),
-    ("--tau", "nan", "tau must be finite and positive"),
-    ("--tau", "inf", "tau must be finite and positive"),
     ("--lambda1", "nan", "lambda1 must be finite and nonnegative"),
     ("--width", "nan", "width must be finite and positive"),
     ("--width", "inf", "width must be finite and positive"),
@@ -383,6 +384,31 @@ def test_removed_descent_flags_are_usage_errors(data_csv, tmp_path, capsys,
     out = tmp_path / "o.json"
     assert main(build(data_csv, str(out), extra=[flag, value])) == 1
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--polish-rounds", "2"),
+                                         ("--tau", "0.1")])
+@pytest.mark.parametrize("build", [explain_args, audit_args, sweep_args])
+def test_removed_polish_and_temperature_flags_are_usage_errors(
+        data_csv, tmp_path, capsys, build, flag, value):
+    # One polish pass at a fixed temperature: the old knobs must fail
+    # loudly rather than be ignored.
+    out = tmp_path / "o.json"
+    assert main(build(data_csv, str(out), extra=[flag, value])) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("build", [explain_args, audit_args, sweep_args])
+def test_a_negative_seed_fails_before_sampling(data_csv, tmp_path, capsys,
+                                               monkeypatch, build):
+    monkeypatch.setattr(cli, "sample_two_group_neighborhood", _refuse)
+    monkeypatch.setattr(experiments, "sample_two_group_neighborhood", _refuse)
+    out = tmp_path / "o.json"
+    assert main(build(data_csv, str(out), extra=["--seed", "-1"])) == 1
+    assert (capsys.readouterr().err
+            == "error: seed must be nonnegative, got -1\n")
     assert not out.exists()
 
 

@@ -276,7 +276,7 @@ def test_plain_fit_solves_each_least_squares_system_once(monkeypatch):
     scores = np.clip(0.4 + samples @ np.array([0.1, 0.05, -0.02]), 0.0, 1.0)
     nb = hand_neighborhood(samples, scores)
     cfg = ExplainConfig(n_features=3)
-    fair = FairConfig(polish_rounds=1, polish_dirs=0)
+    fair = FairConfig(polish_dirs=0)
     for fit in (lambda: explain_neighborhood(nb, cfg),
                 lambda: fair_explain_neighborhood(nb, cfg, fair)):
         calls.clear()
