@@ -50,13 +50,18 @@ class ThresholdOracle:
 
     The minority group (coded 0) gets ``boundary_minority``, the majority
     (coded 1) gets ``boundary_majority``; scores are hard 0/1, so score
-    and predict coincide. Column indices refer to the model-input matrix.
+    and predict coincide. Column indices refer to the model-input matrix;
+    a negative one is rejected here, one past the input's width at
+    scoring.
     """
 
     variant = VARIANT_ORACLE
 
     def __init__(self, boundary_majority=5.0, boundary_minority=6.0,
                  group_col=0, x1_col=2):
+        if group_col < 0 or x1_col < 0:
+            raise DataError(f"oracle columns must be nonnegative, got group "
+                            f"column {group_col} and x1 column {x1_col}")
         if group_col == x1_col:
             raise DataError("group and x1 columns must differ")
         self.boundary_majority = float(boundary_majority)
@@ -73,6 +78,10 @@ class ThresholdOracle:
 
     def score(self, X: np.ndarray) -> np.ndarray:
         X = _check_inputs(X)
+        for name, col in (("group", self.group_col), ("x1", self.x1_col)):
+            if col >= X.shape[1]:
+                raise DataError(f"oracle {name} column {col} is out of range "
+                                f"for an input with {X.shape[1]} columns")
         g = X[:, self.group_col]
         if not np.all((g == 0.0) | (g == 1.0)):
             raise DataError("group column contains values outside {0, 1}")

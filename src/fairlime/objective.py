@@ -7,11 +7,11 @@ preservation penalty. The full objective on a fixed active set is
 
 where psi is the absolute gap between the black box's demographic
 parity over the neighborhood and the thresholded surrogate's. psi is a
-step function of the surrogate parameters, so gradient descent runs on
-a sigmoid-relaxed psi (temperature TAU) and an exact line-search polish
-then attacks the thresholded objective directly. User-facing output
-always reports the hard psi; the smooth proxy appears only as a
-diagnostic.
+step function of the surrogate parameters, so a descent scaled by the
+fidelity's curvature runs on a sigmoid-relaxed psi (temperature TAU)
+and an exact line-search polish then attacks the thresholded objective
+directly. Output always reports the hard psi; the smooth proxy is only
+a diagnostic.
 """
 from __future__ import annotations
 
@@ -27,18 +27,15 @@ from .surrogate import (ExplainConfig, Explanation, FitProblem,
                         greedy_feature_selection)
 
 ARMIJO_C1 = 1e-4
-# First trial step of the descent's backtracking line search.
-INITIAL_STEP = 1.0
 # Scale of the Gaussian noise that moves the second descent start.
 RESTART_NOISE = 0.1
 # Most steps of each of the two descents.
-DESCENT_STEPS = 120
+DESCENT_STEPS = 12
 # Temperature of the sigmoid that relaxes the parity gap, on the score
 # scale.
 TAU = 0.05
 MAX_BACKTRACKS = 60
-MAX_STEP = 1e6
-GRAD_TOL = 1e-8
+SLOPE_TOL = 1e-16
 REL_IMPROVE_TOL = 1e-12
 
 # Coordinate-polish candidates beyond this magnitude are discarded; a
@@ -51,16 +48,13 @@ class FairConfig:
     """Knobs for the parity-preservation penalty and its optimizer.
 
     ``lambda2`` prices the parity gap; 0 turns the penalty off and the
-    solve reduces exactly to the plain surrogate. The rest of the solver
-    is fixed: descent on the parity gap relaxed at temperature ``TAU``
-    from the plain fit and from one noisy copy of it (drawn from
-    ``seed``), at most ``DESCENT_STEPS`` steps each, then one pass of
-    exact line minimization of the hard objective along the axes and,
-    when ``polish_dirs`` is positive, the direction to the plain fit
-    and ``polish_dirs`` random directions (0: axes only, cheaper, but
-    unable to cross cell corners of the piecewise-constant parity
-    term). Fits with up to two active features also scan a certified
-    lattice region, whatever the knobs.
+    solve reduces exactly to the plain surrogate. ``seed`` draws the
+    second descent start and the polish's random lines; ``polish_dirs``
+    is their number (0: axes only, cheaper, but unable to cross cell
+    corners of the piecewise-constant parity term). The rest of the
+    solver is fixed: two Gram-scaled descents of at most
+    ``DESCENT_STEPS`` steps, one polish pass and, for up to two active
+    features, a certified lattice scan (fair_explain_neighborhood).
     """
 
     lambda2: float = 5.0
@@ -78,11 +72,8 @@ class FairConfig:
 
 class _FairProblem(FitProblem):
     """Fidelity plus parity penalty on a fixed active set, which needs
-    both groups.
-
-    The complexity term is constant on a fixed active set and therefore
-    omitted here; callers add lambda1 * |active| when reporting
-    objectives.
+    both groups. The complexity term is constant there and omitted;
+    callers add lambda1 * |active| when reporting objectives.
     """
 
     def __init__(self, nb: Neighborhood, active, lambda2: float, tau: float):
@@ -91,6 +82,20 @@ class _FairProblem(FitProblem):
         self.gsign = np.where(self.mask1, 1.0 / self.n1, -1.0 / self.n0)
         self.lambda2 = lambda2
         self.tau = tau
+        self._newton = None
+
+    def with_active(self, active) -> _FairProblem:
+        problem = super().with_active(active)
+        problem._newton = None
+        return problem
+
+    def newton_direction(self, grad: np.ndarray) -> np.ndarray:
+        """-(2G)^-1 grad, with G the damped Gram matrix of solve(), inverted
+        once per active set. 2G is the fidelity's exact Hessian, so with
+        lambda2 = 0 one step of 1 lands on the least-squares fit."""
+        if self._newton is None:
+            self._newton = -0.5 * np.linalg.inv(self.normal_equations(damped=True)[0])
+        return self._newton @ grad
 
     def smooth_dp(self, scores: np.ndarray) -> float:
         return float(np.sum(self.gsign * expit((scores - 0.5) / self.tau)))
@@ -121,13 +126,10 @@ class _FairProblem(FitProblem):
 
 def smoothed_objective(beta, nb: Neighborhood, active, lambda2: float,
                        tau: float) -> float:
-    """Fidelity plus lambda2 times the sigmoid-relaxed parity gap.
-
-    The complexity term is excluded: it is constant on a fixed active
-    set and would only shift the value the optimizer sees.
-    """
-    problem = _FairProblem(nb, active, lambda2, tau)
-    return problem.smooth_value(np.asarray(beta, dtype=float))
+    """Fidelity plus lambda2 times the sigmoid-relaxed parity gap; the
+    complexity term, constant on a fixed active set, is excluded."""
+    return _FairProblem(nb, active, lambda2, tau).smooth_value(
+        np.asarray(beta, dtype=float))
 
 
 def smoothed_objective_gradient(beta, nb: Neighborhood, active, lambda2: float,
@@ -139,40 +141,39 @@ def smoothed_objective_gradient(beta, nb: Neighborhood, active, lambda2: float,
 
 def _descend(problem: _FairProblem, start: np.ndarray,
              restart_index: int) -> np.ndarray:
-    """At most DESCENT_STEPS steps of gradient descent with backtracking
-    line search; monotone by construction, so the result never scores
+    """At most DESCENT_STEPS steps along _FairProblem.newton_direction
+    with an Armijo backtracking search on the slope ``grad @ direction``:
+    the step starts at 1, halves on each rejection and doubles after
+    each accepted step, up to 1. Monotone, so the result never scores
     worse than the start."""
     beta = np.array(start, dtype=float)
     value = problem.smooth_value(beta)
     if not np.isfinite(value):
-        raise OptimizationError(
-            "non-finite objective at descent start", restart_index=restart_index
-        )
-    step = INITIAL_STEP
+        raise OptimizationError("non-finite objective at descent start",
+                                restart_index=restart_index)
+    step = 1.0
     for _ in range(DESCENT_STEPS):
         grad = problem.smooth_gradient(beta)
-        gsq = float(grad @ grad)
-        if not np.isfinite(gsq):
-            raise OptimizationError(
-                "non-finite gradient during descent", restart_index=restart_index
-            )
-        if np.sqrt(gsq) <= GRAD_TOL:
+        direction = problem.newton_direction(grad)
+        slope = float(grad @ direction)
+        if not np.isfinite(slope):
+            raise OptimizationError("non-finite gradient during descent",
+                                    restart_index=restart_index)
+        if slope >= -SLOPE_TOL:
             break
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
-            cand = beta - step * grad
+            cand = beta + step * direction
             cval = problem.smooth_value(cand)
-            if np.isfinite(cval) and cval <= value - ARMIJO_C1 * step * gsq:
-                accepted = True
+            if np.isfinite(cval) and cval <= value + ARMIJO_C1 * step * slope:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
         improvement = value - cval
         beta, value = cand, cval
         if improvement <= REL_IMPROVE_TOL * max(1.0, abs(value)):
             break
-        step = min(step * 2.0, MAX_STEP)
+        step = min(step * 2.0, 1.0)
     return beta
 
 
@@ -387,20 +388,17 @@ def fair_explain_neighborhood(nb: Neighborhood, cfg: ExplainConfig,
 
     Greedy selection on the penalized problem gives the plain fit. With
     lambda2 = 0 the plain solution is returned verbatim, bit for bit.
-    Otherwise descent on the smoothed objective runs from the plain
-    solution (restart 0) and from one noisy copy of it (restart 1); the
-    plain solution and both descent results each get one pass of exact
-    line-search polish against the hard objective (_polish), and the
-    polished point with the lowest hard objective is picked. For up to
-    two active features the best cell of the 0.01 lattice that could
-    beat the pick (oracle.certified_minimum), polished, replaces it if
-    strictly better. The polish accepts only strict improvements, so
-    the fit never loses to the plain solution on the reported
-    objective. The smooth proxy steers only the descent stage: at the
-    hard optimum, scores often sit close to the 0.5 threshold where the
-    sigmoid relaxation is far from saturated, so judging candidates by
-    the smooth value would discard exactly the solutions the penalty
-    is after.
+    Otherwise the Gram-scaled descent on the smoothed objective (_descend)
+    runs from the plain solution (restart 0) and from one noisy copy of
+    it (restart 1); the plain solution and both descent results each get
+    one exact line-search polish pass on the hard objective (_polish),
+    and the lowest hard objective is picked. For up to two active
+    features the best cell of the 0.01 lattice that could beat the pick
+    (oracle.certified_minimum), polished, replaces it if strictly better.
+    The polish accepts only strict improvements, so the fit never loses
+    to the plain solution. Only the descent sees the smooth proxy: at
+    the hard optimum scores often sit near the 0.5 threshold, where the
+    sigmoid is far from saturated.
     """
     budget = cfg.resolve_budget(nb.n_features)
     problem, v_beta, _ = greedy_feature_selection(

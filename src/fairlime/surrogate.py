@@ -189,20 +189,22 @@ class FitProblem:
         problem.cols = self.nb.samples[:, list(problem.active)]
         return problem
 
-    def normal_equations(self) -> tuple[np.ndarray, np.ndarray]:
+    def normal_equations(self, damped: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The weighted Gram matrix of the design [1, cols] and the
-        right-hand side of the undamped weighted normal equations."""
+        right-hand side of the weighted normal equations; ``damped`` adds
+        RIDGE_DAMPING to the weights' diagonal only, so an intercept-only
+        fit stays the exact weighted mean."""
         design = np.column_stack([np.ones(self.cols.shape[0]), self.cols])
         weighted = design.T * self.wn
-        return weighted @ design, weighted @ self.targets
+        gram = weighted @ design
+        if damped:
+            k = self.cols.shape[1]
+            gram[np.arange(1, k + 1), np.arange(1, k + 1)] += RIDGE_DAMPING
+        return gram, weighted @ self.targets
 
     def solve(self) -> np.ndarray:
-        """The damped least-squares parameters [intercept, weights]. The
-        damping touches only the weights, so an intercept-only fit stays
-        the exact weighted mean."""
-        k = self.cols.shape[1]
-        gram, rhs = self.normal_equations()
-        gram[np.arange(1, k + 1), np.arange(1, k + 1)] += RIDGE_DAMPING
+        """The damped least-squares parameters [intercept, weights]."""
+        gram, rhs = self.normal_equations(damped=True)
         try:
             return np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:

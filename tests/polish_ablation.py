@@ -9,9 +9,9 @@ per group, the row nearest the group's mean x0 at x1 = 4.5, 5.5 and
 s, as ``fairlime explain --seed s`` draws it, and the default
 ``FairConfig(lambda2=5.0, seed=s)``. It prints one line per fit (seed,
 row, objective, in-sample psi, held-out psi, fit seconds) and a summary
-line. The held-out psi is the fit's demographic-parity mismatch on a
-fresh neighborhood of the same size drawn with seed (s, 99). Run it on
-two trees to compare their solvers on the same fits.
+line. The held-out psi (held_out.py) is the fit's demographic-parity
+mismatch on a fresh neighborhood of the same size drawn with seed
+(s, 99). Run it on two trees to compare their solvers on the same fits.
 """
 from __future__ import annotations
 
@@ -26,15 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from fairlime import (ExplainConfig, FairConfig, KernelConfig, cli,
-                      fair_explain_neighborhood, fairness_mismatch,
-                      feature_stats, load_csv, load_model,
-                      sample_two_group_neighborhood)
-from fairlime.metrics import DEMOGRAPHIC_PARITY
+                      fair_explain_neighborhood, feature_stats, load_csv,
+                      load_model, sample_two_group_neighborhood)
+from held_out import held_out_psi
 
 N_ROWS = 2000
 PERTURBATIONS = 5000
 PANEL_X1 = (4.5, 5.5, 6.5)
-HELD_OUT_STREAM = 99
 
 
 def _cli(argv) -> None:
@@ -79,11 +77,7 @@ def main(argv) -> int:
             start = time.perf_counter()
             e = fair_explain_neighborhood(nb, cfg, fair)
             seconds.append(time.perf_counter() - start)
-            fresh = sample_two_group_neighborhood(x, stats, model, kc,
-                                                  (seed, HELD_OUT_STREAM))
-            held_out.append(fairness_mismatch(
-                DEMOGRAPHIC_PARITY, fresh.f_preds, e.predict(fresh.samples),
-                fresh.groups).mismatch)
+            held_out.append(held_out_psi(e, x, stats, model, kc, (seed,)))
             objectives.append(e.objective)
             print(seed, row, repr(e.objective), f"{e.psi_hard:.6f}",
                   f"{held_out[-1]:.6f}", f"{seconds[-1]:.4f}", flush=True)

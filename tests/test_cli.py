@@ -59,6 +59,19 @@ def test_synth_is_byte_reproducible(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("column, message", [
+    ("5", "oracle x1 column 5 is out of range for an input with 3 columns"),
+    ("-1", "oracle columns must be nonnegative"),
+])
+def test_synth_rejects_a_bad_x1_column_as_a_data_error(tmp_path, capsys,
+                                                      column, message):
+    out = tmp_path / "d.csv"
+    assert main(["synth", "--out", str(out), "--n", "50",
+                 "--x1-col", column]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_then_reload(data_csv, tmp_path, capsys):
     model_path = str(tmp_path / "model.npz")
     rc = main(["train", "--data", data_csv, "--group", "g", "--label", "y",
@@ -124,6 +137,22 @@ def test_explain_row_out_of_range(data_csv, tmp_path, capsys):
     rc = main(explain_args(data_csv, str(tmp_path / "e.json"), row="9999"))
     assert rc == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, message", [
+    ("7", "oracle x1 column 7 is out of range for an input with 3 columns"),
+    ("-1", "oracle columns must be nonnegative"),
+    # -3 would index the group bit itself, past the differ check.
+    ("-3", "oracle columns must be nonnegative"),
+])
+def test_explain_rejects_a_bad_x1_column_as_a_data_error(data_csv, tmp_path,
+                                                        capsys, column,
+                                                        message):
+    out = tmp_path / "e.json"
+    rc = main(explain_args(data_csv, str(out), extra=["--x1-col", column]))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explain_missing_data_file(tmp_path):

@@ -53,6 +53,21 @@ def test_oracle_validation():
         ThresholdOracle(group_col=1, x1_col=1)
 
 
+@pytest.mark.parametrize("group_col, x1_col", [(0, -1), (-3, 2), (0, -3)])
+def test_oracle_rejects_a_negative_column(group_col, x1_col):
+    with pytest.raises(DataError, match="must be nonnegative"):
+        ThresholdOracle(group_col=group_col, x1_col=x1_col)
+
+
+@pytest.mark.parametrize("group_col, x1_col, name, col", [
+    (0, 3, "x1", 3), (4, 1, "group", 4)])
+def test_oracle_rejects_a_column_past_the_input(group_col, x1_col, name, col):
+    f = ThresholdOracle(group_col=group_col, x1_col=x1_col)
+    with pytest.raises(DataError, match=f"oracle {name} column {col} is out "
+                                        "of range for an input with 3 columns"):
+        f.score(np.array([[0.0, 1.0, 6.0]]))
+
+
 def test_logistic_zero_weights_scores_half():
     f = LogisticModel(np.zeros(3), 0.0)
     X = np.random.default_rng(0).standard_normal((50, 3))
